@@ -9,22 +9,23 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
 from .decide import (
+    DEFAULT_STAGES,
     INCONCLUSIVE,
     AnalyzeOptions,
     LimitExceeded,
+    NetworkFacts,
     analyze,
     atom_db_matches,
+    network_facts,
     to_jsonable,
 )
-from .embedding import fully_open_extension, is_cfstr, is_fully_open
+from .embedding import fully_open_extension
 from .families import FamilySpec, generate
 from .network import ParseError, ReactionNetwork, parse_network, render_network
-from .structure import deficiency, is_weakly_reversible, linkage_classes, stoich
 from .witness import rate_search, witness_search
 
 EXIT_OK = 0
@@ -40,8 +41,8 @@ def _read_network(path: str) -> ReactionNetwork:
         return parse_network(handle.read())
 
 
-def structural_summary(net: ReactionNetwork) -> dict:
-    report = deficiency(net)
+def structural_summary(net: ReactionNetwork, facts: NetworkFacts) -> dict:
+    report = facts.deficiency
     return {
         "species": list(net.species_names()),
         "num_species": net.num_species,
@@ -52,9 +53,9 @@ def structural_summary(net: ReactionNetwork) -> dict:
         "deficiency": report.total,
         "deficiency_per_class": list(report.per_class) if report.per_class is not None else None,
         "deficiency_applicable": report.applicable,
-        "weakly_reversible": is_weakly_reversible(net),
-        "is_cfstr": is_cfstr(net),
-        "is_fully_open": is_fully_open(net),
+        "weakly_reversible": facts.weakly_reversible,
+        "is_cfstr": facts.cfstr,
+        "is_fully_open": facts.fully_open,
     }
 
 
@@ -77,17 +78,9 @@ def _print_structure(summary: dict, out) -> None:
     print(f"fully open: {'yes' if summary['is_fully_open'] else 'no'}", file=out)
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("CRNMSS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def cmd_info(args) -> int:
     net = _read_network(args.path)
-    summary = structural_summary(net)
+    summary = structural_summary(net, network_facts(net))
     if args.json:
         print(json.dumps({"network": render_network(net), "structure": summary}, indent=2))
         return EXIT_OK
@@ -102,17 +95,12 @@ def cmd_check(args) -> int:
     net = _read_network(args.path)
     if args.fully_open:
         net = fully_open_extension(net)
-    options = AnalyzeOptions(
-        numeric=not args.no_numeric,
-        budget=args.budget,
-        seed=args.seed,
-        threads=args.threads,
-    )
-    result = analyze(net, options)
+    stages = DEFAULT_STAGES if args.no_numeric else DEFAULT_STAGES + ("numeric",)
+    result = analyze(net, AnalyzeOptions(stages, args.budget, args.seed))
     verdict = result.verdict
     report = {
         "network": render_network(net),
-        "structure": structural_summary(net),
+        "structure": structural_summary(net, result.facts),
         "verdict": verdict.to_json(),
         "witness": result.witness.to_json() if result.witness is not None else None,
     }
@@ -241,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--no-numeric", action="store_true",
                          help="skip the numeric witness stage")
     p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--threads", type=int, default=_default_threads())
     p_check.set_defaults(func=cmd_check)
 
     p_atoms = sub.add_parser("atoms", help="list known multistationary atoms embedded in a network")

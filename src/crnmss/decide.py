@@ -9,10 +9,9 @@ cheap structural preclusions first and numeric search last.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import families
 from .embedding import (
@@ -29,7 +28,7 @@ from .embedding import (
 from .linalg import det_int, rank_int, submatrix
 from .lp import LPResult, solve_feasibility
 from .network import ReactionNetwork, render_complex, render_network
-from .structure import StoichData, deficiency, is_weakly_reversible, stoich
+from .structure import DeficiencyReport, deficiency, is_weakly_reversible, stoich
 
 MULTISTATIONARY = "MULTISTATIONARY"
 NOT_MULTISTATIONARY = "NOT_MULTISTATIONARY"
@@ -82,14 +81,33 @@ def _sen_description(sen: SquareEmbeddedNetwork) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# deficiency theorems
+# network facts and the deficiency theorems
 
 
-def check_deficiency_zero(net: ReactionNetwork) -> Verdict | None:
-    report = deficiency(net)
-    if not report.applicable or report.total != 0:
-        return None
-    if is_weakly_reversible(net):
+@dataclass(frozen=True)
+class NetworkFacts:
+    """The structural facts every stage reads, computed once per analysis."""
+
+    deficiency: DeficiencyReport
+    weakly_reversible: bool
+    cfstr: bool
+    fully_open: bool
+
+
+def network_facts(net: ReactionNetwork) -> NetworkFacts:
+    return NetworkFacts(
+        deficiency(net), is_weakly_reversible(net), is_cfstr(net), is_fully_open(net)
+    )
+
+
+def check_deficiency_zero(facts: NetworkFacts) -> Verdict | str:
+    """The deficiency zero theorem's verdict, or a note saying why it is silent."""
+    report = facts.deficiency
+    if not report.applicable:
+        return f"deficiency formula not applicable: {report.reason}"
+    if report.total != 0:
+        return f"deficiency {report.total}, not zero"
+    if facts.weakly_reversible:
         return Verdict(
             NOT_MULTISTATIONARY,
             {
@@ -113,15 +131,20 @@ def check_deficiency_zero(net: ReactionNetwork) -> Verdict | None:
     )
 
 
-def check_deficiency_one(net: ReactionNetwork) -> Verdict | None:
-    report = deficiency(net)
+def check_deficiency_one(facts: NetworkFacts) -> Verdict | str | None:
+    """The deficiency one theorem's verdict, or a note saying why it is
+    silent; None when the deficiency formula does not apply."""
+    report = facts.deficiency
     if not report.applicable:
         return None
     assert report.per_class is not None and report.total is not None
     if any(d > 1 for d in report.per_class):
-        return None
+        return "deficiency one theorem: some class deficiency exceeds one"
     if sum(report.per_class) != report.total:
-        return None
+        return (
+            "deficiency one theorem: class deficiencies "
+            f"{list(report.per_class)} do not sum to {report.total}"
+        )
     return Verdict(
         NOT_MULTISTATIONARY,
         {
@@ -301,15 +324,7 @@ def injectivity_signvectors(net: ReactionNetwork, limit: int = 5) -> Injectivity
     return InjectivityReport("sign-vectors", "injective")
 
 
-def _map_maybe_parallel(fn, items: Iterable, threads: int):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            yield from pool.map(fn, items)
-    else:
-        yield from map(fn, items)
-
-
-def cfstr_injectivity(net: ReactionNetwork, threads: int = 1) -> InjectivityReport:
+def cfstr_injectivity(net: ReactionNetwork) -> InjectivityReport:
     """Injectivity of a CFSTR via relevant square embedded networks.
 
     The CFSTR is injective iff no relevant square embedded network of its
@@ -320,15 +335,10 @@ def cfstr_injectivity(net: ReactionNetwork, threads: int = 1) -> InjectivityRepo
         raise ValueError("cfstr_injectivity requires every species to have an outflow")
     g0 = non_flow_subnetwork(net)
 
-    def examine(sen: SquareEmbeddedNetwork):
-        if not sen_is_relevant(sen)[0]:
-            return None
-        return sen if orientation(sen) < 0 else None
-
     for k in range(1, min(g0.num_species, g0.num_reactions) + 1):
-        for hit in _map_maybe_parallel(examine, enumerate_sens(g0, k), threads):
-            if hit is not None:
-                return InjectivityReport("cfstr-sen", "not-injective", negative_sen=hit)
+        for sen in enumerate_sens(g0, k):
+            if sen_is_relevant(sen)[0] and orientation(sen) < 0:
+                return InjectivityReport("cfstr-sen", "not-injective", negative_sen=sen)
     return InjectivityReport("cfstr-sen", "injective")
 
 
@@ -369,7 +379,9 @@ def subnetwork_lift_obstruction(
         if mapped not in host_reactions:
             raise ValueError("sub is not a subnetwork of host (reaction mismatch)")
         sub_in_host.append(mapped)
-    removed = [r for r in host.reactions if r not in set(sub_in_host)]
+    in_sub = set(sub_in_host)
+    removed_idx = [i for i, rxn in enumerate(host.reactions) if rxn not in in_sub]
+    removed = [host.reactions[i] for i in removed_idx]
     if not removed:
         return None
     s = host.num_species
@@ -397,7 +409,6 @@ def subnetwork_lift_obstruction(
     result = solve_feasibility(t + g, cons, free_vars=range(t, t + g))
     if result.feasible:
         return None
-    removed_idx = [i for i, rxn in enumerate(host.reactions) if rxn in set(removed)]
     return Verdict(
         NO_POSITIVE_STEADY_STATES,
         {
@@ -435,10 +446,11 @@ def classify_one_nonflow_fully_open(
 ) -> OneReactionClassification:
     """Multistationarity of the fully open network with one non-flow reaction.
 
-    The irreversible network is multistationary iff the reactant
-    coefficients of species consumed net-negatively... more precisely iff
-    sum of a_i over {i : b_i > a_i} exceeds one; the reversible variant
-    also accepts the mirrored sum.
+    For the reaction a -> b, the irreversible network is multistationary
+    iff the sum of a_i over the species with b_i > a_i (those the reaction
+    produces net) exceeds one.  The reversible pair a <-> b is
+    multistationary iff that sum or the mirrored sum, of b_i over the
+    species with a_i > b_i, exceeds one.
     """
     av, bv = tuple(int(x) for x in a), tuple(int(x) for x in b)
     if len(av) != len(bv) or not av:
@@ -505,9 +517,7 @@ def det_opt_condition(
     return True
 
 
-def determinant_optimization(
-    net: ReactionNetwork, threads: int = 1
-) -> DetOptCertificate | None:
+def determinant_optimization(net: ReactionNetwork) -> DetOptCertificate | None:
     """Search for a negatively oriented full-size SEN of the non-flow
     subnetwork whose reaction vectors admit a positive combination with
     positive species totals; such a certificate makes the fully open
@@ -519,10 +529,10 @@ def determinant_optimization(
     if g0.num_species != s or g0.num_reactions < s:
         return None
 
-    def examine(sen: SquareEmbeddedNetwork):
+    for sen in enumerate_sens(g0, s):
         value = orientation(sen)
         if value >= 0:
-            return None
+            continue
         k = len(sen.reactions)
         cons = []
         for i in sen.species_indices:
@@ -533,13 +543,9 @@ def determinant_optimization(
             coeffs[j] = 1
             cons.append((coeffs, ">=", 1))
         result = solve_feasibility(k, cons)
-        if not result.feasible:
-            return None
-        assert result.witness is not None
-        return DetOptCertificate(sen, result.witness, value)
-
-    for cert in _map_maybe_parallel(examine, enumerate_sens(g0, s), threads):
-        if cert is not None:
+        if result.feasible:
+            assert result.witness is not None
+            cert = DetOptCertificate(sen, result.witness, value)
             assert det_opt_condition(cert.sen, cert.eta)
             return cert
     return None
@@ -596,185 +602,156 @@ def atom_db_search(net: ReactionNetwork) -> AtomMatch | None:
 
 # ---------------------------------------------------------------------------
 # the pipeline
-
-
-DEFAULT_STAGES = (
-    "positive-dependence",
-    "deficiency-zero",
-    "deficiency-one",
-    "injectivity",
-    "one-reaction",
-    "det-opt",
-    "atom-search",
-    "numeric",
-)
-
-
-@dataclass(frozen=True)
-class AnalyzeOptions:
-    stages: tuple[str, ...] = DEFAULT_STAGES
-    numeric: bool = False
-    budget: int = 200
-    seed: int = 0
-    threads: int = 1
+#
+# A stage maps (net, facts, options) to a Verdict or AnalysisResult when it
+# concludes, to a note when it does not, or to None when it has nothing to
+# say.  Stages call the layer functions through this module's globals.
 
 
 @dataclass
 class AnalysisResult:
     verdict: Verdict
     witness: object | None = None  # SteadyStateWitness when numeric search concluded
+    facts: NetworkFacts | None = None
+
+
+def _positive_dependence_stage(net, facts, opts):
+    if positive_dependence(net).feasible:
+        return "positive dependence holds"
+    return Verdict(
+        NO_POSITIVE_STEADY_STATES,
+        {"kind": "positive-dependence-failure"},
+        notes=(
+            "the reaction vectors admit no strictly positive linear dependence, so the "
+            "right-hand side never vanishes at positive concentrations",
+        ),
+    )
+
+
+def _injectivity_stage(net, facts, opts):
+    if facts.cfstr:
+        report = cfstr_injectivity(net)
+        if report.injective:
+            return Verdict(
+                NOT_MULTISTATIONARY,
+                {"kind": "injectivity-cfstr"},
+                notes=(
+                    "every relevant square embedded network of the non-flow "
+                    "subnetwork has non-negative orientation",
+                ),
+            )
+        assert report.negative_sen is not None
+        return (
+            "injectivity fails: negatively oriented relevant square embedded "
+            f"network {_sen_description(report.negative_sen)['reactions']}"
+        )
+    report = injectivity_minors(net)
+    if report.injective:
+        return Verdict(
+            NOT_MULTISTATIONARY,
+            {"kind": "injectivity-minors", "sign": report.sign},
+            notes=("all rank-size minor products share one sign",),
+        )
+    if report.status == "degenerate":
+        return (
+            "injectivity degenerate: every rank-size minor product vanishes; "
+            "treated as not injective"
+        )
+    return "injectivity fails: minor products of both signs exist"
+
+
+def _one_reaction_stage(net, facts, opts):
+    shape = _single_nonflow_shape(net)
+    if shape is None or not facts.fully_open:
+        return None
+    cls = classify_one_nonflow_fully_open(*shape)
+    cert = {
+        "kind": "one-reaction-formula",
+        "reactant": list(cls.reactant),
+        "product": list(cls.product),
+        "reversible": cls.reversible,
+        "forward_sum": cls.forward_sum,
+        "backward_sum": cls.backward_sum,
+    }
+    return Verdict(MULTISTATIONARY if cls.multistationary else NOT_MULTISTATIONARY, cert)
+
+
+def _det_opt_stage(net, facts, opts):
+    if not facts.cfstr:
+        return None
+    cert = determinant_optimization(net)
+    if cert is None:
+        return "determinant optimization found no certificate"
+    if facts.fully_open:
+        return Verdict(MULTISTATIONARY, cert.to_json())
+    return (
+        "determinant optimization certifies the fully open extension "
+        "is multistationary (network itself is not fully open)"
+    )
+
+
+def _atom_search_stage(net, facts, opts):
+    if not facts.fully_open:
+        return "atom search skipped: network is not fully open"
+    match = atom_db_search(net)
+    if match is None:
+        return "no known multistationary atom embeds"
+    return Verdict(MULTISTATIONARY, {**match.to_json(), "kind": "atom-embedding"})
+
+
+def _numeric_stage(net, facts, opts):
+    if not facts.fully_open:
+        return "numeric search skipped: network is not fully open"
+    from . import witness
+
+    found = witness.rate_search(net, budget=opts.budget, seed=opts.seed)
+    if found is None or found.count_nondegenerate() < 2:
+        return f"numeric search found no multiple steady states within budget {opts.budget}"
+    cert = {
+        "kind": "numeric-witness",
+        "states": len(found.states),
+        "nondegenerate_states": found.count_nondegenerate(),
+    }
+    return AnalysisResult(Verdict(MULTISTATIONARY, cert), witness=found)
+
+
+STAGES: dict[str, Callable] = {
+    "positive-dependence": _positive_dependence_stage,
+    "deficiency-zero": lambda net, facts, opts: check_deficiency_zero(facts),
+    "deficiency-one": lambda net, facts, opts: check_deficiency_one(facts),
+    "injectivity": _injectivity_stage,
+    "one-reaction": _one_reaction_stage,
+    "det-opt": _det_opt_stage,
+    "atom-search": _atom_search_stage,
+    "numeric": _numeric_stage,
+}
+
+# the numeric stage runs only when listed explicitly
+DEFAULT_STAGES = tuple(name for name in STAGES if name != "numeric")
+
+
+@dataclass(frozen=True)
+class AnalyzeOptions:
+    stages: tuple[str, ...] = DEFAULT_STAGES
+    budget: int = 200
+    seed: int = 0
 
 
 def analyze(net: ReactionNetwork, options: AnalyzeOptions | None = None) -> AnalysisResult:
-    """Run the decision pipeline; first conclusive stage wins."""
+    """Run the listed stages in order; the first conclusive stage wins."""
     opts = options or AnalyzeOptions()
+    facts = network_facts(net)
     notes: list[str] = []
-
-    for stage in opts.stages:
-        if stage == "positive-dependence":
-            dep = positive_dependence(net)
-            if not dep.feasible:
-                return AnalysisResult(
-                    Verdict(
-                        NO_POSITIVE_STEADY_STATES,
-                        {"kind": "positive-dependence-failure"},
-                        notes=tuple(
-                            notes
-                            + [
-                                "the reaction vectors admit no strictly positive "
-                                "linear dependence, so the right-hand side never vanishes "
-                                "at positive concentrations"
-                            ]
-                        ),
-                    )
-                )
-            notes.append("positive dependence holds")
-        elif stage == "deficiency-zero":
-            verdict = check_deficiency_zero(net)
-            if verdict is not None:
-                return AnalysisResult(
-                    Verdict(verdict.status, verdict.certificate, tuple(notes) + verdict.notes)
-                )
-            report = deficiency(net)
-            if not report.applicable:
-                notes.append(f"deficiency formula not applicable: {report.reason}")
-            else:
-                notes.append(f"deficiency {report.total}, not zero")
-        elif stage == "deficiency-one":
-            verdict = check_deficiency_one(net)
-            if verdict is not None:
-                return AnalysisResult(
-                    Verdict(verdict.status, verdict.certificate, tuple(notes) + verdict.notes)
-                )
-            report = deficiency(net)
-            if report.applicable:
-                assert report.per_class is not None
-                if any(d > 1 for d in report.per_class):
-                    notes.append("deficiency one theorem: some class deficiency exceeds one")
-                else:
-                    notes.append(
-                        "deficiency one theorem: class deficiencies "
-                        f"{list(report.per_class)} do not sum to {report.total}"
-                    )
-        elif stage == "injectivity":
-            if is_cfstr(net):
-                report = cfstr_injectivity(net, threads=opts.threads)
-                if report.injective:
-                    return AnalysisResult(
-                        Verdict(
-                            NOT_MULTISTATIONARY,
-                            {"kind": "injectivity-cfstr"},
-                            tuple(notes)
-                            + (
-                                "every relevant square embedded network of the non-flow "
-                                "subnetwork has non-negative orientation",
-                            ),
-                        )
-                    )
-                assert report.negative_sen is not None
-                notes.append(
-                    "injectivity fails: negatively oriented relevant square embedded "
-                    f"network {_sen_description(report.negative_sen)['reactions']}"
-                )
-            else:
-                report = injectivity_minors(net)
-                if report.injective:
-                    return AnalysisResult(
-                        Verdict(
-                            NOT_MULTISTATIONARY,
-                            {"kind": "injectivity-minors", "sign": report.sign},
-                            tuple(notes)
-                            + ("all rank-size minor products share one sign",),
-                        )
-                    )
-                if report.status == "degenerate":
-                    notes.append(
-                        "injectivity degenerate: every rank-size minor product vanishes; "
-                        "treated as not injective"
-                    )
-                else:
-                    notes.append("injectivity fails: minor products of both signs exist")
-        elif stage == "one-reaction":
-            shape = _single_nonflow_shape(net)
-            if shape is not None and is_fully_open(net):
-                a, b, rev = shape
-                cls = classify_one_nonflow_fully_open(a, b, rev)
-                cert = {
-                    "kind": "one-reaction-formula",
-                    "reactant": list(cls.reactant),
-                    "product": list(cls.product),
-                    "reversible": cls.reversible,
-                    "forward_sum": cls.forward_sum,
-                    "backward_sum": cls.backward_sum,
-                }
-                status = MULTISTATIONARY if cls.multistationary else NOT_MULTISTATIONARY
-                return AnalysisResult(Verdict(status, cert, tuple(notes)))
-        elif stage == "det-opt":
-            if is_cfstr(net):
-                cert = determinant_optimization(net, threads=opts.threads)
-                if cert is not None:
-                    if is_fully_open(net):
-                        return AnalysisResult(
-                            Verdict(MULTISTATIONARY, cert.to_json(), tuple(notes))
-                        )
-                    notes.append(
-                        "determinant optimization certifies the fully open extension "
-                        "is multistationary (network itself is not fully open)"
-                    )
-                else:
-                    notes.append("determinant optimization found no certificate")
-        elif stage == "atom-search":
-            if is_fully_open(net):
-                match = atom_db_search(net)
-                if match is not None:
-                    cert = match.to_json()
-                    cert["kind"] = "atom-embedding"
-                    return AnalysisResult(Verdict(MULTISTATIONARY, cert, tuple(notes)))
-                notes.append("no known multistationary atom embeds")
-            else:
-                notes.append("atom search skipped: network is not fully open")
-        elif stage == "numeric":
-            if not opts.numeric:
-                continue
-            if not is_fully_open(net):
-                notes.append("numeric search skipped: network is not fully open")
-                continue
-            from .witness import rate_search
-
-            found = rate_search(net, budget=opts.budget, seed=opts.seed)
-            if found is not None and found.count_nondegenerate() >= 2:
-                cert = {
-                    "kind": "numeric-witness",
-                    "states": len(found.states),
-                    "nondegenerate_states": found.count_nondegenerate(),
-                }
-                return AnalysisResult(
-                    Verdict(MULTISTATIONARY, cert, tuple(notes)), witness=found
-                )
-            notes.append(
-                f"numeric search found no multiple steady states within budget {opts.budget}"
-            )
-        else:
-            raise ValueError(f"unknown pipeline stage {stage!r}")
-
-    return AnalysisResult(Verdict(INCONCLUSIVE, None, tuple(notes)))
+    for name in opts.stages:
+        stage = STAGES.get(name)
+        if stage is None:
+            raise ValueError(f"unknown pipeline stage {name!r}")
+        outcome = stage(net, facts, opts)
+        if isinstance(outcome, str):
+            notes.append(outcome)
+        elif outcome is not None:
+            result = outcome if isinstance(outcome, AnalysisResult) else AnalysisResult(outcome)
+            v = result.verdict
+            verdict = Verdict(v.status, v.certificate, tuple(notes) + v.notes)
+            return AnalysisResult(verdict, result.witness, facts)
+    return AnalysisResult(Verdict(INCONCLUSIVE, None, tuple(notes)), facts=facts)

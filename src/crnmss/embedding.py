@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import det_int
-from .network import Complex, Reaction, ReactionNetwork, Species, make_network
+from .network import Complex, Reaction, ReactionNetwork, make_network
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ to an equal network.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 # Upper bound on a single stoichiometric coefficient; guards against

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import rank_int
-from .network import Complex, ReactionNetwork
+from .network import ReactionNetwork
 
 
 @dataclass(frozen=True)

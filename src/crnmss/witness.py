@@ -239,6 +239,8 @@ def rate_search(
     Deterministic for a fixed seed and budget; returns None when the
     budget is exhausted.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
     if not is_fully_open(net):
         raise ValueError("rate search requires a fully open network")
     rng = random.Random(seed)

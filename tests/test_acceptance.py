@@ -81,7 +81,7 @@ def test_criterion_1_introductory_regressions():
         inj1 = cfstr_injectivity(net1)
         assert not inj1.injective
         assert injectivity_minors(net1).injective is False
-        res1 = analyze(net1, AnalyzeOptions(numeric=False))
+        res1 = analyze(net1, AnalyzeOptions())
         register("intro-1", status=res1.verdict.status, injective=False)
 
         net2 = parse_network(
@@ -92,7 +92,7 @@ def test_criterion_1_introductory_regressions():
         inj2 = cfstr_injectivity(net2)
         assert not inj2.injective
         assert list(atom_db_matches(net2)) == []
-        res2 = analyze(net2, AnalyzeOptions(numeric=False))
+        res2 = analyze(net2, AnalyzeOptions())
         assert res2.verdict.status == INCONCLUSIVE
         register("intro-2", status=res2.verdict.status, injective=False)
 
@@ -163,7 +163,7 @@ def test_criterion_3_sequestration_suite():
         for m in range(1, 4):
             for n in (2, 4, 6):
                 open_net = fully_open_extension(generate(FamilySpec("K", m, n)))
-                res = analyze(open_net, AnalyzeOptions(numeric=False))
+                res = analyze(open_net, AnalyzeOptions())
                 assert res.verdict.status == NOT_MULTISTATIONARY, (m, n)
                 register(
                     f"seq-open-{m}-{n}",
@@ -288,7 +288,7 @@ def test_criterion_8_deficiency_zero_uniqueness():
         for k, net in enumerate(nets):
             rep = deficiency(net)
             assert is_weakly_reversible(net) and rep.total == 0, k
-            res = analyze(net, AnalyzeOptions(numeric=False))
+            res = analyze(net, AnalyzeOptions())
             assert res.verdict.status == NOT_MULTISTATIONARY, k
             most_states = 0
             for _ in range(20):

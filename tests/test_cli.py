@@ -214,6 +214,14 @@ def test_witness_search_exhausted_exits_3(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) is None
 
 
+def test_witness_negative_budget_exits_2(tmp_path, capsys):
+    path = write_net(tmp_path, "0 -> A\nA -> 0\n2 A -> 3 A")
+    assert main(["witness", path, "--search", "--budget", "-2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget must be non-negative" in captured.err
+
+
 def test_limit_exceeded_exits_4(tmp_path, capsys, monkeypatch):
     def boom(net, options):
         raise LimitExceeded("enumeration too large")

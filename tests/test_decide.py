@@ -1,5 +1,6 @@
 """Tests for the decision layer: theorems, injectivity routes, pipeline."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -24,13 +25,16 @@ from crnmss.decide import (
     determinant_optimization,
     injectivity_minors,
     injectivity_signvectors,
+    network_facts,
     positive_dependence,
     subnetwork_lift_obstruction,
     to_jsonable,
 )
-from crnmss.embedding import fully_open_extension
+from crnmss.cli import main
+from crnmss.embedding import fully_open_extension, is_cfstr, is_fully_open
 from crnmss.families import FamilySpec, generate, load_atom
-from crnmss.network import parse_network
+from crnmss.network import parse_network, render_network
+from crnmss.structure import deficiency, is_weakly_reversible
 from helpers import random_cfstr, random_network
 
 
@@ -43,8 +47,13 @@ def test_to_jsonable():
     assert to_jsonable(data) == {"a": "1/3", "b": ["2", "x"], "c": [1, "5/2"]}
 
 
+def facts_of(text_or_net):
+    net = parse_network(text_or_net) if isinstance(text_or_net, str) else text_or_net
+    return network_facts(net)
+
+
 def test_deficiency_zero_weakly_reversible():
-    v = check_deficiency_zero(parse_network("A <-> B"))
+    v = check_deficiency_zero(facts_of("A <-> B"))
     assert v is not None
     assert v.status == NOT_MULTISTATIONARY
     assert v.certificate["kind"] == "deficiency-zero"
@@ -52,18 +61,18 @@ def test_deficiency_zero_weakly_reversible():
 
 
 def test_deficiency_zero_not_weakly_reversible():
-    v = check_deficiency_zero(parse_network("A -> B"))
+    v = check_deficiency_zero(facts_of("A -> B"))
     assert v is not None
     assert v.status == NO_POSITIVE_STEADY_STATES
 
 
 def test_deficiency_zero_inapplicable_or_positive():
-    assert check_deficiency_zero(parse_network("A -> B\nA -> C")) is None
-    assert check_deficiency_zero(generate(FamilySpec("G", 2, 3))) is None
+    assert not isinstance(check_deficiency_zero(facts_of("A -> B\nA -> C")), Verdict)
+    assert not isinstance(check_deficiency_zero(facts_of(generate(FamilySpec("G", 2, 3)))), Verdict)
 
 
 def test_deficiency_one():
-    v = check_deficiency_one(parse_network("2 A -> 3 A\n3 A -> 4 A\n0 <-> B"))
+    v = check_deficiency_one(facts_of("2 A -> 3 A\n3 A -> 4 A\n0 <-> B"))
     assert v is not None
     assert v.status == NOT_MULTISTATIONARY
     assert v.certificate == {
@@ -72,13 +81,13 @@ def test_deficiency_one():
         "per_class": [1, 0],
     }
     # covers deficiency zero as the degenerate case
-    assert check_deficiency_one(parse_network("A <-> B")) is not None
+    assert isinstance(check_deficiency_one(facts_of("A <-> B")), Verdict)
     # class deficiencies (0, 0) do not reach the total of 1
-    assert check_deficiency_one(generate(FamilySpec("G", 2, 3))) is None
+    assert not isinstance(check_deficiency_one(facts_of(generate(FamilySpec("G", 2, 3)))), Verdict)
     # single class of deficiency 2
-    assert check_deficiency_one(parse_network("0 -> A\nA -> 2 A\n2 A -> 3 A")) is None
+    assert not isinstance(check_deficiency_one(facts_of("0 -> A\nA -> 2 A\n2 A -> 3 A")), Verdict)
     # inapplicable network
-    assert check_deficiency_one(parse_network("A -> B\nA -> C")) is None
+    assert not isinstance(check_deficiency_one(facts_of("A -> B\nA -> C")), Verdict)
 
 
 def test_injectivity_minors_injective():
@@ -144,14 +153,6 @@ def test_cfstr_injectivity_agrees_with_minors():
     for _ in range(30):
         net = random_cfstr(rng, max_species=3, max_nonflow=3)
         assert cfstr_injectivity(net).injective == injectivity_minors(net).injective
-
-
-def test_cfstr_injectivity_threads_match_sequential():
-    net = k_tilde(2, 3)
-    assert (
-        cfstr_injectivity(net, threads=2).status
-        == cfstr_injectivity(net).status
-    )
 
 
 def test_positive_dependence():
@@ -298,15 +299,41 @@ def test_analyze_numeric_stage():
     net = load_atom(1)
     res = analyze(
         net,
-        AnalyzeOptions(stages=("numeric",), numeric=True, budget=10000, seed=0),
+        AnalyzeOptions(stages=("numeric",), budget=10000, seed=0),
     )
     assert res.verdict.status == MULTISTATIONARY
     assert res.verdict.certificate["kind"] == "numeric-witness"
     assert res.verdict.certificate["nondegenerate_states"] >= 2
     assert res.witness is not None
-    # numeric off: the same stage list concludes nothing
-    res = analyze(net, AnalyzeOptions(stages=("numeric",), numeric=False))
-    assert res.verdict.status == INCONCLUSIVE
+
+
+def test_network_facts_match_structure_functions():
+    rng = random.Random(93)
+    for _ in range(50):
+        net = random_network(rng)
+        facts = network_facts(net)
+        assert facts.deficiency == deficiency(net)
+        assert facts.weakly_reversible == is_weakly_reversible(net)
+        assert facts.cfstr == is_cfstr(net)
+        assert facts.fully_open == is_fully_open(net)
+
+
+def test_check_computes_deficiency_once(tmp_path, monkeypatch, capsys):
+    import crnmss.decide
+
+    calls = []
+
+    def counting(net):
+        calls.append(net)
+        return deficiency(net)
+
+    monkeypatch.setattr(crnmss.decide, "deficiency", counting)
+    # runs every stage up to det-opt, leaving notes on the way
+    path = tmp_path / "net.txt"
+    path.write_text(render_network(k_tilde(2, 3)) + "\n")
+    assert main(["check", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"]["certificate"]["kind"] == "det-opt"
+    assert len(calls) == 1
 
 
 def test_verdict_to_json():
