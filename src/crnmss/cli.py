@@ -2,7 +2,7 @@
 
 Subcommands: info, check, atoms, generate, witness.  Exit codes:
 0 success/conclusive, 2 input error, 3 inconclusive or nothing found,
-4 internal enumeration limit exceeded.
+4 an enumeration exceeded its work bound (the message names the stage).
 """
 
 from __future__ import annotations
@@ -92,6 +92,8 @@ def cmd_info(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.budget < 0:
+        raise ValueError(f"budget must be non-negative, got {args.budget}")
     net = _read_network(args.path)
     if args.fully_open:
         net = fully_open_extension(net)

@@ -9,6 +9,7 @@ cheap structural preclusions first and numeric search last.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
@@ -19,16 +20,24 @@ from .embedding import (
     SquareEmbeddedNetwork,
     enumerate_sens,
     find_embedding,
+    irrelevant_alone,
     is_cfstr,
     is_fully_open,
     non_flow_subnetwork,
     orientation,
+    restrict_each,
     sen_is_relevant,
 )
 from .linalg import det_int, rank_int, submatrix
 from .lp import LPResult, solve_feasibility
 from .network import ReactionNetwork, render_complex, render_network
-from .structure import DeficiencyReport, deficiency, is_weakly_reversible, stoich
+from .structure import (
+    DeficiencyReport,
+    StoichData,
+    deficiency,
+    is_weakly_reversible,
+    stoich,
+)
 
 MULTISTATIONARY = "MULTISTATIONARY"
 NOT_MULTISTATIONARY = "NOT_MULTISTATIONARY"
@@ -36,6 +45,12 @@ NO_POSITIVE_STEADY_STATES = "NO_POSITIVE_STEADY_STATES"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 SignVector = tuple[int, ...]
+
+# Work bound of the injectivity stage: species subsets plus reaction
+# combinations examined by the CFSTR scan, or index pairs of the minors
+# scan.  Past it the stage raises LimitExceeded.  The largest benchmark
+# network, fully open K(2,10), needs 1,024.
+INJECTIVITY_WORK_LIMIT = 1_000_000
 
 
 class LimitExceeded(RuntimeError):
@@ -88,6 +103,7 @@ def _sen_description(sen: SquareEmbeddedNetwork) -> dict:
 class NetworkFacts:
     """The structural facts every stage reads, computed once per analysis."""
 
+    stoich: StoichData
     deficiency: DeficiencyReport
     weakly_reversible: bool
     cfstr: bool
@@ -95,8 +111,13 @@ class NetworkFacts:
 
 
 def network_facts(net: ReactionNetwork) -> NetworkFacts:
+    data = stoich(net)
     return NetworkFacts(
-        deficiency(net), is_weakly_reversible(net), is_cfstr(net), is_fully_open(net)
+        data,
+        deficiency(net, data),
+        is_weakly_reversible(net),
+        is_cfstr(net),
+        is_fully_open(net),
     )
 
 
@@ -175,18 +196,29 @@ class InjectivityReport:
         return self.status == "injective"
 
 
-def injectivity_minors(net: ReactionNetwork) -> InjectivityReport:
+def injectivity_minors(
+    net: ReactionNetwork, data: StoichData | None = None
+) -> InjectivityReport:
     """All rank-size minor products of (Gamma, reactant matrix) share a sign.
 
     Scans index pairs lexicographically and stops at the first conflict.
     The all-zero outcome is reported as "degenerate" and treated as not
-    injective by callers.
+    injective by callers.  ``data`` is ``stoich(net)`` when the caller
+    has it already.  More than ``INJECTIVITY_WORK_LIMIT`` index pairs
+    raise ``LimitExceeded`` before any minor is computed.
     """
-    data = stoich(net)
+    if data is None:
+        data = stoich(net)
     k = data.rank
     gamma = [list(row) for row in data.stoich_matrix]
     reactant = [list(row) for row in data.reactant_matrix]
     s, r = net.num_species, net.num_reactions
+    pairs = math.comb(s, k) * math.comb(r, k)
+    if pairs > INJECTIVITY_WORK_LIMIT:
+        raise LimitExceeded(
+            f"injectivity: {pairs} minor pairs exceed the work bound "
+            f"{INJECTIVITY_WORK_LIMIT}"
+        )
     first: tuple | None = None
     sign = 0
     for species_subset in itertools.combinations(range(s), k):
@@ -327,18 +359,59 @@ def injectivity_signvectors(net: ReactionNetwork, limit: int = 5) -> Injectivity
 def cfstr_injectivity(net: ReactionNetwork) -> InjectivityReport:
     """Injectivity of a CFSTR via relevant square embedded networks.
 
-    The CFSTR is injective iff no relevant square embedded network of its
-    non-flow subnetwork is negatively oriented; the first negative one in
-    enumeration order is returned as the counterexample.
+    The CFSTR is injective iff no relevant square embedded network (SEN)
+    of its non-flow subnetwork is negatively oriented.  For k = 1, 2, ...
+    the scan runs over species subsets first.  It restricts each non-flow
+    reaction once per subset and drops the restrictions that are trivial
+    or that no relevant SEN can contain (``irrelevant_alone``: an empty
+    reactant or a generalized outflow), which is exact.  The k-reaction
+    combinations of what is left, with pairwise distinct restrictions,
+    go through ``sen_is_relevant`` and the exact ``orientation``.
+
+    The counterexample is the negative SEN of least size that is least
+    by (reaction_indices, species_indices), the first one a reaction-major
+    walk of ``enumerate_sens`` would meet: each species subset stops at
+    its first hit, and at combinations not below the best hit so far.
+    Examining more than ``INJECTIVITY_WORK_LIMIT`` species subsets plus
+    reaction combinations raises ``LimitExceeded``.
     """
     if not is_cfstr(net):
         raise ValueError("cfstr_injectivity requires every species to have an outflow")
     g0 = non_flow_subnetwork(net)
+    work = 0
+
+    def tick() -> None:
+        nonlocal work
+        work += 1
+        if work > INJECTIVITY_WORK_LIMIT:
+            raise LimitExceeded(
+                "injectivity: square embedded network scan exceeds the work "
+                f"bound {INJECTIVITY_WORK_LIMIT}"
+            )
 
     for k in range(1, min(g0.num_species, g0.num_reactions) + 1):
-        for sen in enumerate_sens(g0, k):
-            if sen_is_relevant(sen)[0] and orientation(sen) < 0:
-                return InjectivityReport("cfstr-sen", "not-injective", negative_sen=sen)
+        best: SquareEmbeddedNetwork | None = None
+        for sp_subset in itertools.combinations(range(g0.num_species), k):
+            tick()
+            candidates = [
+                (i, res)
+                for i, res in enumerate(restrict_each(g0.reactions, sp_subset))
+                if res is not None and irrelevant_alone(res) is None
+            ]
+            for combo in itertools.combinations(candidates, k):
+                tick()
+                rxn_subset = tuple(i for i, _ in combo)
+                if best is not None and rxn_subset >= best.reaction_indices:
+                    break
+                restricted = tuple(res for _, res in combo)
+                if len(set(restricted)) < k:
+                    continue
+                sen = SquareEmbeddedNetwork(g0, rxn_subset, sp_subset, restricted)
+                if sen_is_relevant(sen)[0] and orientation(sen) < 0:
+                    best = sen
+                    break
+        if best is not None:
+            return InjectivityReport("cfstr-sen", "not-injective", negative_sen=best)
     return InjectivityReport("cfstr-sen", "injective")
 
 
@@ -346,9 +419,13 @@ def cfstr_injectivity(net: ReactionNetwork) -> InjectivityReport:
 # positive dependence and subnetwork lifting
 
 
-def positive_dependence(net: ReactionNetwork) -> LPResult:
-    """Is there alpha > 0 with Gamma alpha = 0?  (Normalized to alpha >= 1.)"""
-    data = stoich(net)
+def positive_dependence(net: ReactionNetwork, data: StoichData | None = None) -> LPResult:
+    """Is there alpha > 0 with Gamma alpha = 0?  (Normalized to alpha >= 1.)
+
+    ``data`` is ``stoich(net)`` when the caller has it already.
+    """
+    if data is None:
+        data = stoich(net)
     r = net.num_reactions
     cons = [(list(row), "==", 0) for row in data.stoich_matrix]
     for i in range(r):
@@ -616,7 +693,7 @@ class AnalysisResult:
 
 
 def _positive_dependence_stage(net, facts, opts):
-    if positive_dependence(net).feasible:
+    if positive_dependence(net, facts.stoich).feasible:
         return "positive dependence holds"
     return Verdict(
         NO_POSITIVE_STEADY_STATES,
@@ -645,7 +722,7 @@ def _injectivity_stage(net, facts, opts):
             "injectivity fails: negatively oriented relevant square embedded "
             f"network {_sen_description(report.negative_sen)['reactions']}"
         )
-    report = injectivity_minors(net)
+    report = injectivity_minors(net, facts.stoich)
     if report.injective:
         return Verdict(
             NOT_MULTISTATIONARY,

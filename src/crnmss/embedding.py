@@ -42,6 +42,15 @@ def restrict_reaction(rxn: Reaction, kept: Iterable[int]) -> Reaction | None:
     return Reaction(reactant, product)
 
 
+def restrict_each(
+    reactions: Sequence[Reaction], kept: Iterable[int]
+) -> list[Reaction | None]:
+    """Every reaction restricted to kept species, None where trivial; one
+    entry per reaction, in order."""
+    keep = frozenset(kept)
+    return [restrict_reaction(rxn, keep) for rxn in reactions]
+
+
 def restrict_reactions(reactions: Sequence[Reaction], kept: Iterable[int]) -> list[Reaction]:
     """Restrict each reaction; drop trivial results and duplicates (keep first)."""
     keep = set(kept)
@@ -203,23 +212,25 @@ def orientation(sen: SquareEmbeddedNetwork) -> int:
 
 
 def enumerate_sens(net: ReactionNetwork, k: int) -> Iterator[SquareEmbeddedNetwork]:
-    """All size-k square embedded networks, lexicographic in (reactions, species)."""
+    """All size-k square embedded networks, lexicographic in (reactions, species).
+
+    Every reaction is restricted once per species subset, up front, and
+    the (reaction subset, species subset) pairs are then read off those
+    restrictions: a pair is yielded when its restrictions are nontrivial
+    and pairwise distinct.  No relevance filter is applied.  With k equal
+    to the number of species, as in determinant optimization, there is a
+    single species subset.
+    """
     if k < 1 or k > min(net.num_reactions, net.num_species):
         return
+    species_subsets = list(itertools.combinations(range(net.num_species), k))
+    restricted = [restrict_each(net.reactions, sp_subset) for sp_subset in species_subsets]
     for rxn_subset in itertools.combinations(range(net.num_reactions), k):
-        candidates = [net.reactions[i] for i in rxn_subset]
-        for sp_subset in itertools.combinations(range(net.num_species), k):
-            keep = set(sp_subset)
-            restricted = []
-            ok = True
-            for rxn in candidates:
-                res = restrict_reaction(rxn, keep)
-                if res is None or res in restricted:
-                    ok = False
-                    break
-                restricted.append(res)
-            if ok:
-                yield SquareEmbeddedNetwork(net, rxn_subset, sp_subset, tuple(restricted))
+        for sp_subset, row in zip(species_subsets, restricted):
+            chosen = tuple(row[i] for i in rxn_subset)
+            if any(res is None for res in chosen) or len(set(chosen)) < k:
+                continue
+            yield SquareEmbeddedNetwork(net, rxn_subset, sp_subset, chosen)
 
 
 def _merged_nonflow(reactions: Sequence[Reaction]) -> list[Reaction]:
@@ -252,20 +263,33 @@ def total_molecularity(net: ReactionNetwork, species_idx: int) -> int:
     return total
 
 
+def irrelevant_alone(rxn: Reaction) -> str | None:
+    """Why any network containing this reaction is not relevant, or None.
+
+    A (generalized) inflow, whose reactant is zero, or a (generalized)
+    outflow, whose reactant is one species that the product holds no more
+    of and no other species, disqualifies a network on its own.
+    """
+    if rxn.reactant.is_zero:
+        return "contains an inflow or generalized inflow reaction"
+    support = rxn.reactant.support
+    if len(support) == 1:
+        i = support[0]
+        if all(idx == i for idx, _ in rxn.product.items) and rxn.product.coeff(
+            i
+        ) <= rxn.reactant.coeff(i):
+            return "contains an outflow or generalized outflow reaction"
+    return None
+
+
 def _relevance(
     reactions: Sequence[Reaction], species_indices: Sequence[int]
 ) -> tuple[bool, str | None]:
     """Shared relevance check over an explicit species index list."""
     for rxn in reactions:
-        if rxn.reactant.is_zero:
-            return False, "contains an inflow or generalized inflow reaction"
-        support = rxn.reactant.support
-        if len(support) == 1:
-            i = support[0]
-            if all(idx == i for idx, _ in rxn.product.items) and rxn.product.coeff(
-                i
-            ) <= rxn.reactant.coeff(i):
-                return False, "contains an outflow or generalized outflow reaction"
+        reason = irrelevant_alone(rxn)
+        if reason is not None:
+            return False, reason
     have = set(reactions)
     for rxn in reactions:
         if rxn.reversed_() in have:

@@ -177,14 +177,16 @@ class DeficiencyReport:
     reason: str | None = None
 
 
-def deficiency(net: ReactionNetwork) -> DeficiencyReport:
+def deficiency(net: ReactionNetwork, data: StoichData | None = None) -> DeficiencyReport:
     """Deficiency p - l - rank(Gamma), plus per linkage class values.
 
     When some linkage class holds more than one terminal strong linkage
     class the formula is not the dimension-gap it is meant to measure, so
-    the report comes back with applicable=False and no numbers.
+    the report comes back with applicable=False and no numbers.  ``data``
+    is ``stoich(net)`` when the caller has it already.
     """
-    data = stoich(net)
+    if data is None:
+        data = stoich(net)
     lclasses = linkage_classes(net)
     p = len(net.complexes())
     l = len(lclasses)

@@ -222,6 +222,36 @@ def test_witness_negative_budget_exits_2(tmp_path, capsys):
     assert "budget must be non-negative" in captured.err
 
 
+def test_check_negative_budget_exits_2(capsys, monkeypatch):
+    # deficiency one concludes before the numeric stage could see the budget
+    monkeypatch.setattr(sys, "stdin", io.StringIO("2 A <-> A + B\nA + B <-> 2 B\n"))
+    assert main(["check", "-", "--no-numeric", "--budget", "-2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget must be non-negative" in captured.err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # CFSTR: the square embedded network scan
+        render_network(fully_open_extension(generate(FamilySpec("K", 2, 3)))),
+        # not a CFSTR: the minors scan, C(2,2) * C(4,2) = 6 index pairs
+        "A + B -> 2 A\nA -> B\nB -> 0\n0 -> A",
+    ],
+)
+def test_injectivity_work_bound_exits_4(tmp_path, capsys, monkeypatch, text):
+    path = write_net(tmp_path, text)
+    assert main(["check", path, "--no-numeric"]) in (0, 3)
+    capsys.readouterr()
+    monkeypatch.setattr("crnmss.decide.INJECTIVITY_WORK_LIMIT", 2)
+    assert main(["check", path, "--no-numeric"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: injectivity:" in captured.err
+    assert "work bound 2" in captured.err
+
+
 def test_limit_exceeded_exits_4(tmp_path, capsys, monkeypatch):
     def boom(net, options):
         raise LimitExceeded("enumeration too large")

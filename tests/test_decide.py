@@ -323,9 +323,9 @@ def test_check_computes_deficiency_once(tmp_path, monkeypatch, capsys):
 
     calls = []
 
-    def counting(net):
+    def counting(net, *args):
         calls.append(net)
-        return deficiency(net)
+        return deficiency(net, *args)
 
     monkeypatch.setattr(crnmss.decide, "deficiency", counting)
     # runs every stage up to det-opt, leaving notes on the way

@@ -1,0 +1,89 @@
+"""Property tests of the species-major square embedded network scan."""
+
+import itertools
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from crnmss.decide import _sen_description, cfstr_injectivity
+from crnmss.embedding import (
+    enumerate_sens,
+    fully_open_extension,
+    irrelevant_alone,
+    non_flow_subnetwork,
+    orientation,
+    restrict_reaction,
+    sen_is_relevant,
+)
+from crnmss.families import FamilySpec, generate
+from helpers import random_cfstr, random_network
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+property_settings = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def reference_negative_sen(net):
+    """The first negative relevant SEN of a reaction-major walk, or None."""
+    g0 = non_flow_subnetwork(net)
+    for k in range(1, min(g0.num_species, g0.num_reactions) + 1):
+        for sen in enumerate_sens(g0, k):
+            if sen_is_relevant(sen)[0] and orientation(sen) < 0:
+                return sen
+    return None
+
+
+def sen_key(sen):
+    return sen.reaction_indices, sen.species_indices, sen.reactions
+
+
+@property_settings
+@given(seeds)
+def test_scan_matches_reaction_major_reference(seed):
+    net = random_cfstr(random.Random(seed), max_species=4, max_nonflow=5, max_coeff=2)
+    report = cfstr_injectivity(net)
+    expected = reference_negative_sen(net)
+    if expected is None:
+        assert report.status == "injective"
+        assert report.negative_sen is None
+    else:
+        assert report.status == "not-injective"
+        assert sen_key(report.negative_sen) == sen_key(expected)
+
+
+@property_settings
+@given(seeds)
+def test_prefilter_is_exact(seed):
+    net = random_network(random.Random(seed), max_species=4, max_reactions=5, max_coeff=2)
+    for k in range(1, min(net.num_species, net.num_reactions) + 1):
+        for sen in enumerate_sens(net, k):
+            if any(irrelevant_alone(rxn) is not None for rxn in sen.reactions):
+                assert not sen_is_relevant(sen)[0]
+
+
+@property_settings
+@given(seeds)
+def test_enumerate_sens_matches_pairwise_restriction(seed):
+    net = random_network(random.Random(seed), max_species=4, max_reactions=4, max_coeff=2)
+    for k in range(1, min(net.num_species, net.num_reactions) + 1):
+        expected = []
+        for rxn_subset in itertools.combinations(range(net.num_reactions), k):
+            for sp_subset in itertools.combinations(range(net.num_species), k):
+                restricted = [restrict_reaction(net.reactions[i], sp_subset) for i in rxn_subset]
+                if None not in restricted and len(set(restricted)) == k:
+                    expected.append((rxn_subset, sp_subset, tuple(restricted)))
+        assert [sen_key(sen) for sen in enumerate_sens(net, k)] == expected
+
+
+def test_sequestration_counterexamples_pinned():
+    cases = {
+        (2, 3): ["X1 -> 2 X3", "X1 + X2 -> 0", "X2 + X3 -> 0"],
+        (3, 7): ["X1 -> 3 X7"] + [f"X{i} + X{i + 1} -> 0" for i in range(1, 7)],
+    }
+    for (m, n), reactions in cases.items():
+        net = fully_open_extension(generate(FamilySpec("K", m, n)))
+        sen = cfstr_injectivity(net).negative_sen
+        assert sen.reaction_indices == tuple(range(n))
+        assert sen.species_indices == tuple(range(n))
+        assert sen.species_names() == tuple(f"X{i}" for i in range(1, n + 1))
+        assert _sen_description(sen)["reactions"] == reactions
