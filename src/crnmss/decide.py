@@ -25,7 +25,6 @@ from .embedding import (
     is_fully_open,
     non_flow_subnetwork,
     orientation,
-    restrict_each,
     sen_is_relevant,
 )
 from .linalg import det_int, rank_int, submatrix
@@ -361,18 +360,13 @@ def cfstr_injectivity(net: ReactionNetwork) -> InjectivityReport:
 
     The CFSTR is injective iff no relevant square embedded network (SEN)
     of its non-flow subnetwork is negatively oriented.  For k = 1, 2, ...
-    the scan runs over species subsets first.  It restricts each non-flow
-    reaction once per subset and drops the restrictions that are trivial
-    or that no relevant SEN can contain (``irrelevant_alone``: an empty
-    reactant or a generalized outflow), which is exact.  The k-reaction
-    combinations of what is left, with pairwise distinct restrictions,
-    go through ``sen_is_relevant`` and the exact ``orientation``.
-
-    The counterexample is the negative SEN of least size that is least
-    by (reaction_indices, species_indices), the first one a reaction-major
-    walk of ``enumerate_sens`` would meet: each species subset stops at
-    its first hit, and at combinations not below the best hit so far.
-    Examining more than ``INJECTIVITY_WORK_LIMIT`` species subsets plus
+    the scan reads ``enumerate_sens`` without the restrictions that no
+    relevant SEN can contain (``irrelevant_alone``: an empty reactant or a
+    generalized outflow), which is exact, and every SEN it yields goes
+    through ``sen_is_relevant`` and the exact ``orientation``.  The stream
+    is ordered, so the counterexample is the first hit: the negative SEN
+    of least size that is least by (reaction_indices, species_indices).
+    Forming more than ``INJECTIVITY_WORK_LIMIT`` species subsets plus
     reaction combinations raises ``LimitExceeded``.
     """
     if not is_cfstr(net):
@@ -389,29 +383,13 @@ def cfstr_injectivity(net: ReactionNetwork) -> InjectivityReport:
                 f"bound {INJECTIVITY_WORK_LIMIT}"
             )
 
+    def admit(res) -> bool:
+        return irrelevant_alone(res) is None
+
     for k in range(1, min(g0.num_species, g0.num_reactions) + 1):
-        best: SquareEmbeddedNetwork | None = None
-        for sp_subset in itertools.combinations(range(g0.num_species), k):
-            tick()
-            candidates = [
-                (i, res)
-                for i, res in enumerate(restrict_each(g0.reactions, sp_subset))
-                if res is not None and irrelevant_alone(res) is None
-            ]
-            for combo in itertools.combinations(candidates, k):
-                tick()
-                rxn_subset = tuple(i for i, _ in combo)
-                if best is not None and rxn_subset >= best.reaction_indices:
-                    break
-                restricted = tuple(res for _, res in combo)
-                if len(set(restricted)) < k:
-                    continue
-                sen = SquareEmbeddedNetwork(g0, rxn_subset, sp_subset, restricted)
-                if sen_is_relevant(sen)[0] and orientation(sen) < 0:
-                    best = sen
-                    break
-        if best is not None:
-            return InjectivityReport("cfstr-sen", "not-injective", negative_sen=best)
+        for sen in enumerate_sens(g0, k, admit, tick):
+            if sen_is_relevant(sen)[0] and orientation(sen) < 0:
+                return InjectivityReport("cfstr-sen", "not-injective", negative_sen=sen)
     return InjectivityReport("cfstr-sen", "injective")
 
 
@@ -449,35 +427,27 @@ def subnetwork_lift_obstruction(
         if sp.name not in name_to_host:
             raise ValueError(f"subnetwork species {sp.name} missing from host")
     lift = {sp.index: name_to_host[sp.name] for sp in sub.species}
-    host_reactions = set(host.reactions)
-    sub_in_host = []
+    host_index = {rxn: j for j, rxn in enumerate(host.reactions)}
+    sub_cols = []
     for rxn in sub.reactions:
         mapped = type(rxn)(rxn.reactant.rename(lift), rxn.product.rename(lift))
-        if mapped not in host_reactions:
+        if mapped not in host_index:
             raise ValueError("sub is not a subnetwork of host (reaction mismatch)")
-        sub_in_host.append(mapped)
-    in_sub = set(sub_in_host)
-    removed_idx = [i for i, rxn in enumerate(host.reactions) if rxn not in in_sub]
-    removed = [host.reactions[i] for i in removed_idx]
-    if not removed:
+        sub_cols.append(host_index[mapped])
+    removed_idx = sorted(set(range(host.num_reactions)) - set(sub_cols))
+    if not removed_idx:
         return None
-    s = host.num_species
-
-    def vec(rxn) -> list[int]:
-        rv, pv = rxn.reactant.vector(s), rxn.product.vector(s)
-        return [pv[i] - rv[i] for i in range(s)]
-
-    sub_vectors = [vec(rxn) for rxn in sub_in_host]
-    host_rank = stoich(host).rank
-    sub_rank = rank_int([[v[i] for v in sub_vectors] for i in range(s)]) if sub_vectors else 0
+    data = stoich(host)
+    gamma = data.stoich_matrix
+    host_rank = data.rank
+    sub_rank = rank_int(submatrix(gamma, range(host.num_species), sub_cols))
     if sub_rank == host_rank:
         return None
-    t = len(removed)
-    g = len(sub_vectors)
-    removed_vectors = [vec(rxn) for rxn in removed]
+    t = len(removed_idx)
+    g = len(sub_cols)
     cons = []
-    for i in range(s):
-        coeffs = [rv[i] for rv in removed_vectors] + [-sv[i] for sv in sub_vectors]
+    for row in gamma:
+        coeffs = [row[j] for j in removed_idx] + [-row[j] for j in sub_cols]
         cons.append((coeffs, "==", 0))
     for j in range(t):
         coeffs = [0] * (t + g)

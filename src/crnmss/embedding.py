@@ -14,9 +14,10 @@ and reactant-minus-product columns.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .linalg import det_int
 from .network import Complex, Reaction, ReactionNetwork, make_network
@@ -53,15 +54,18 @@ def restrict_each(
 
 def restrict_reactions(reactions: Sequence[Reaction], kept: Iterable[int]) -> list[Reaction]:
     """Restrict each reaction; drop trivial results and duplicates (keep first)."""
-    keep = set(kept)
-    out: list[Reaction] = []
-    seen: set[Reaction] = set()
-    for rxn in reactions:
-        res = restrict_reaction(rxn, keep)
-        if res is not None and res not in seen:
-            seen.add(res)
-            out.append(res)
-    return out
+    return [res for res in dict.fromkeys(restrict_each(reactions, kept)) if res is not None]
+
+
+def _on_used_species(net: ReactionNetwork, reactions: Sequence[Reaction]) -> ReactionNetwork:
+    """The network of ``reactions`` (in ``net``'s species indexing) over
+    the species they use, renumbered densely; names are kept."""
+    used = sorted({idx for rxn in reactions for cpx in rxn.complexes() for idx, _ in cpx})
+    renumber = {old: new for new, old in enumerate(used)}
+    renamed = tuple(
+        Reaction(r.reactant.rename(renumber), r.product.rename(renumber)) for r in reactions
+    )
+    return make_network([net.species[i].name for i in used], renamed)
 
 
 def embedded_network(net: ReactionNetwork, spec: RemovalSpec) -> ReactionNetwork:
@@ -80,14 +84,7 @@ def embedded_network(net: ReactionNetwork, spec: RemovalSpec) -> ReactionNetwork
         rxn for i, rxn in enumerate(net.reactions) if i not in spec.reactions_removed
     ]
     kept_species = [i for i in range(net.num_species) if i not in spec.species_removed]
-    restricted = restrict_reactions(kept_reactions, kept_species)
-    used = sorted({idx for rxn in restricted for cpx in rxn.complexes() for idx, _ in cpx})
-    renumber = {old: new for new, old in enumerate(used)}
-    reactions = tuple(
-        Reaction(r.reactant.rename(renumber), r.product.rename(renumber)) for r in restricted
-    )
-    names = [net.species[i].name for i in used]
-    return make_network(names, reactions)
+    return _on_used_species(net, restrict_reactions(kept_reactions, kept_species))
 
 
 def non_flow_subnetwork(net: ReactionNetwork) -> ReactionNetwork:
@@ -110,24 +107,22 @@ def fully_open_extension(net: ReactionNetwork) -> ReactionNetwork:
     return ReactionNetwork(net.species, tuple(reactions))
 
 
+def _every_species_has(net: ReactionNetwork, flow: Callable[[Complex], Reaction]) -> bool:
+    """True iff the network has ``flow({X})`` for every species X (and has species)."""
+    have = set(net.reactions)
+    return net.num_species > 0 and all(
+        flow(Complex.of({i: 1})) in have for i in range(net.num_species)
+    )
+
+
 def is_cfstr(net: ReactionNetwork) -> bool:
     """True iff every species has its outflow X -> 0."""
-    have = set(net.reactions)
-    zero = Complex(())
-    return all(
-        Reaction(Complex.of({i: 1}), zero) in have for i in range(net.num_species)
-    ) and net.num_species > 0
+    return _every_species_has(net, lambda mono: Reaction(mono, Complex(())))
 
 
 def is_fully_open(net: ReactionNetwork) -> bool:
     """True iff every species has both its inflow and its outflow."""
-    have = set(net.reactions)
-    zero = Complex(())
-    for i in range(net.num_species):
-        mono = Complex.of({i: 1})
-        if Reaction(zero, mono) not in have or Reaction(mono, zero) not in have:
-            return False
-    return net.num_species > 0
+    return is_cfstr(net) and _every_species_has(net, lambda mono: Reaction(Complex(()), mono))
 
 
 def _intermediate_complex(net: ReactionNetwork, species_idx: int) -> Complex:
@@ -176,12 +171,7 @@ def remove_intermediates(net: ReactionNetwork, species: Iterable[int]) -> Reacti
                     seen.add(new)
                     keep.append(new)
         reactions = keep
-    used = sorted({i for rxn in reactions for cpx in rxn.complexes() for i, _ in cpx})
-    renumber = {old: new for new, old in enumerate(used)}
-    renamed = tuple(
-        Reaction(r.reactant.rename(renumber), r.product.rename(renumber)) for r in reactions
-    )
-    return make_network([net.species[i].name for i in used], renamed)
+    return _on_used_species(net, reactions)
 
 
 @dataclass(frozen=True)
@@ -211,26 +201,48 @@ def orientation(sen: SquareEmbeddedNetwork) -> int:
     return det_int(reactant_mat) * det_int(diff_mat)
 
 
-def enumerate_sens(net: ReactionNetwork, k: int) -> Iterator[SquareEmbeddedNetwork]:
+def enumerate_sens(
+    net: ReactionNetwork,
+    k: int,
+    admit: Callable[[Reaction], bool] | None = None,
+    tick: Callable[[], None] | None = None,
+) -> Iterator[SquareEmbeddedNetwork]:
     """All size-k square embedded networks, lexicographic in (reactions, species).
 
-    Every reaction is restricted once per species subset, up front, and
-    the (reaction subset, species subset) pairs are then read off those
-    restrictions: a pair is yielded when its restrictions are nontrivial
-    and pairwise distinct.  No relevance filter is applied.  With k equal
-    to the number of species, as in determinant optimization, there is a
-    single species subset.
+    Each species subset gives one stream: every reaction is restricted to
+    the subset once, and the k-combinations of the nontrivial restrictions
+    that ``admit`` accepts (all of them without ``admit``) are yielded in
+    lexicographic reaction order when they are pairwise distinct.
+    ``heapq.merge`` joins the streams by (reaction_indices,
+    species_indices).  A SEN is left out exactly when ``admit`` rejects
+    one of its restrictions.  ``tick`` is called once per species subset
+    and once per reaction combination formed, duplicates included.  With
+    k equal to the number of species, as in determinant optimization,
+    there is a single stream.
     """
     if k < 1 or k > min(net.num_reactions, net.num_species):
         return
-    species_subsets = list(itertools.combinations(range(net.num_species), k))
-    restricted = [restrict_each(net.reactions, sp_subset) for sp_subset in species_subsets]
-    for rxn_subset in itertools.combinations(range(net.num_reactions), k):
-        for sp_subset, row in zip(species_subsets, restricted):
-            chosen = tuple(row[i] for i in rxn_subset)
-            if any(res is None for res in chosen) or len(set(chosen)) < k:
-                continue
-            yield SquareEmbeddedNetwork(net, rxn_subset, sp_subset, chosen)
+
+    def stream(sp_subset: tuple[int, ...]):
+        if tick is not None:
+            tick()
+        candidates = [
+            (i, res)
+            for i, res in enumerate(restrict_each(net.reactions, sp_subset))
+            if res is not None and (admit is None or admit(res))
+        ]
+        for combo in itertools.combinations(candidates, k):
+            if tick is not None:
+                tick()
+            restricted = tuple(res for _, res in combo)
+            if len(set(restricted)) == k:
+                yield tuple(i for i, _ in combo), sp_subset, restricted
+
+    # (reaction_indices, species_indices) never repeats across streams, so
+    # the merge never compares the restricted reactions themselves
+    streams = [stream(sp) for sp in itertools.combinations(range(net.num_species), k)]
+    for rxn_subset, sp_subset, restricted in heapq.merge(*streams):
+        yield SquareEmbeddedNetwork(net, rxn_subset, sp_subset, restricted)
 
 
 def _merged_nonflow(reactions: Sequence[Reaction]) -> list[Reaction]:

@@ -1,12 +1,13 @@
 """Exact linear algebra on small dense matrices.
 
 Integer matrices go through fraction-free (Bareiss) elimination so all
-intermediate values stay integral; rational matrices use plain Gaussian
-elimination over Fraction.  Matrices are lists of row lists.
+intermediate values stay integral; rational matrices are cleared of
+denominators row by row first.  Matrices are lists of row lists.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -67,41 +68,15 @@ def rank_int(matrix: Sequence[Sequence[int]]) -> int:
 
 
 def rank_frac(matrix: Sequence[Sequence[Fraction | int]]) -> int:
-    """Rank over the rationals via exact Gaussian elimination."""
-    if not matrix or not matrix[0]:
-        return 0
-    m = [[Fraction(x) for x in row] for row in matrix]
-    rows, cols = len(m), len(m[0])
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for i in range(rank, rows):
-            if m[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = m[rank][col]
-        for i in range(rank + 1, rows):
-            if m[i][col] != 0:
-                f = m[i][col] / inv
-                for j in range(col, cols):
-                    m[i][j] -= f * m[rank][j]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
-def mat_vec(matrix: Sequence[Sequence[int]], vec: Sequence[Fraction | int]) -> list[Fraction]:
-    return [sum((Fraction(a) * Fraction(x) for a, x in zip(row, vec)), Fraction(0)) for row in matrix]
-
-
-def transpose(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
-    if not matrix:
-        return []
-    return [list(col) for col in zip(*matrix)]
+    """Rank over the rationals: each row is scaled by the lcm of its
+    denominators, which keeps the rank, and the integer rows go to
+    ``rank_int``."""
+    rows = []
+    for row in matrix:
+        row = [Fraction(x) for x in row]
+        scale = math.lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (scale // x.denominator) for x in row])
+    return rank_int(rows)
 
 
 def submatrix(

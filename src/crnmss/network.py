@@ -102,10 +102,6 @@ class Complex:
                 return c
         return 0
 
-    def total(self) -> int:
-        """Total molecularity of the complex (sum of coefficients)."""
-        return sum(c for _, c in self.items)
-
     def vector(self, num_species: int) -> list[int]:
         dense = [0] * num_species
         for idx, c in self.items:
@@ -212,9 +208,6 @@ class ReactionNetwork:
                 for _, c in cpx:
                     best = max(best, c)
         return best
-
-    def has_reaction(self, rxn: Reaction) -> bool:
-        return rxn in set(self.reactions)
 
     def __eq__(self, other: object) -> bool:
         # Reaction order is irrelevant; species order (and names) matter.

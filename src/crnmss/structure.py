@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import rank_int
+from .linalg import rank_int, submatrix
 from .network import ReactionNetwork
 
 
@@ -201,18 +201,12 @@ def deficiency(net: ReactionNetwork, data: StoichData | None = None) -> Deficien
             rank=data.rank,
             reason="some linkage class contains more than one terminal strong linkage class",
         )
-    complexes = net.complexes()
+    index = net.complex_index()
     per = []
     for lc in lclasses:
-        members = {complexes[i] for i in lc}
-        rxns = [r for r in net.reactions if r.reactant in members]
-        s = net.num_species
-        cols = []
-        for rxn in rxns:
-            rvec = rxn.reactant.vector(s)
-            pvec = rxn.product.vector(s)
-            cols.append([pvec[i] - rvec[i] for i in range(s)])
-        gamma = [[col[i] for col in cols] for i in range(s)] if cols else []
+        members = set(lc)
+        cols = [j for j, rxn in enumerate(net.reactions) if index[rxn.reactant] in members]
+        gamma = submatrix(data.stoich_matrix, range(net.num_species), cols)
         per.append(len(lc) - 1 - rank_int(gamma))
     return DeficiencyReport(
         applicable=True,

@@ -56,9 +56,6 @@ class UniPoly:
             k += 1
         return UniPoly.of(self.coeffs[k:]), k
 
-    def scale(self, factor: Fraction) -> "UniPoly":
-        return UniPoly.of([c * factor for c in self.coeffs])
-
     def __neg__(self) -> "UniPoly":
         return UniPoly.of([-c for c in self.coeffs])
 

@@ -54,20 +54,6 @@ class SteadyStateWitness:
         }
 
 
-def _mass_action_arrays(net: ReactionNetwork, kappa: Sequence[Fraction]):
-    s, r = net.num_species, net.num_reactions
-    exponents = np.zeros((r, s))
-    gamma = np.zeros((s, r))
-    for j, rxn in enumerate(net.reactions):
-        for i, coeff in rxn.reactant.items:
-            exponents[j, i] = coeff
-        rv, pv = rxn.reactant.vector(s), rxn.product.vector(s)
-        for i in range(s):
-            gamma[i, j] = pv[i] - rv[i]
-    rates = np.array([float(k) for k in kappa])
-    return exponents, gamma, rates
-
-
 def _rhs_batch(x, exponents, gamma, rates):
     monomials = rates * np.exp(np.log(x) @ exponents.T)
     return monomials @ gamma.T, monomials
@@ -93,7 +79,7 @@ def _solve_batch(jacs, rhs):
         return out, ok
 
 
-def _newton_all_starts(starts, exponents, gamma, rates, residual_tol):
+def _newton_all_starts(starts, exponents, gamma, rates):
     x = np.array(starts, dtype=float)
     n = len(x)
     alive = np.ones(n, dtype=bool)
@@ -104,7 +90,7 @@ def _newton_all_starts(starts, exponents, gamma, rates, residual_tol):
             break
         f_act, mon_act = _rhs_batch(x[active], exponents, gamma, rates)
         res_act = np.max(np.abs(f_act), axis=1)
-        done = res_act < residual_tol
+        done = res_act < RESIDUAL_TOL
         converged[active[done]] = True
         work = active[~done]
         if work.size == 0:
@@ -149,21 +135,21 @@ def _relative_distance(a: Sequence[float], b: Sequence[float]) -> float:
     return max(abs(u - v) for u, v in zip(a, b)) / scale
 
 
-def _dedup(states, tol):
+def _dedup(states):
     kept: list[tuple[float, ...]] = []
     for state in sorted(states):
-        if all(_relative_distance(state, other) >= tol for other in kept):
+        if all(_relative_distance(state, other) >= DEDUP_TOL for other in kept):
             kept.append(state)
     return kept
 
 
-def _default_starts(s: int, seed: int, max_starts: int):
-    if 5**s <= max_starts:
+def _default_starts(s: int, seed: int):
+    if 5**s <= MAX_GRID_STARTS:
         return list(itertools.product(GRID_POINTS, repeat=s))
     rng = random.Random(seed)
     return [
         tuple(10.0 ** rng.uniform(-2.0, 2.0) for _ in range(s))
-        for _ in range(max_starts)
+        for _ in range(MAX_GRID_STARTS)
     ]
 
 
@@ -173,33 +159,31 @@ def witness_search(
     *,
     seed: int = 0,
     starts: Sequence[Sequence[float]] | None = None,
-    residual_tol: float = RESIDUAL_TOL,
-    dedup_tol: float = DEDUP_TOL,
-    max_starts: int = MAX_GRID_STARTS,
 ) -> SteadyStateWitness:
     """Find positive steady states of the mass-action system.
 
     Runs damped Newton from a log-spaced positive grid (random starts
     above five species), keeps converged points with residual infinity
-    norm below ``residual_tol``, deduplicates at relative distance
-    ``dedup_tol``, and validates each survivor exactly: rationalized
+    norm below ``RESIDUAL_TOL``, deduplicates at relative distance
+    ``DEDUP_TOL``, and validates each survivor exactly: rationalized
     residual below 1e-8 and exact Jacobian rank for nondegeneracy.
     """
     if not is_fully_open(net):
         raise ValueError("witness search requires a fully open network")
     rates = tuple(Fraction(k) for k in kappa)
     system = mass_action_system(net, rates)
-    s = net.num_species
-    dim = stoich(net).rank
-    exponents, gamma, rate_arr = _mass_action_arrays(net, rates)
+    data = stoich(net)
+    exponents = np.array(data.reactant_matrix, dtype=float)
+    gamma = np.array(data.stoich_matrix, dtype=float)
+    rate_arr = np.array([float(k) for k in rates])
     if starts is None:
-        starts = _default_starts(s, seed, max_starts)
-    found = _newton_all_starts(starts, exponents, gamma, rate_arr, residual_tol)
+        starts = _default_starts(net.num_species, seed)
+    found = _newton_all_starts(starts, exponents, gamma, rate_arr)
     states: list[tuple[float, ...]] = []
     residuals: list[float] = []
     nondeg: list[bool] = []
     stability: list[str] = []
-    for state in _dedup(found, dedup_tol):
+    for state in _dedup(found):
         exact_point = tuple(Fraction(v) for v in state)
         exact_res = system.rhs(exact_point)
         if max(abs(v) for v in exact_res) >= EXACT_RESIDUAL_TOL:
@@ -207,7 +191,7 @@ def witness_search(
         f_val, mon = _rhs_batch(np.array([state]), exponents, gamma, rate_arr)
         residuals.append(float(np.max(np.abs(f_val[0]))))
         exact_jac = jacobian(system, exact_point)
-        nondeg.append(rank_frac(exact_jac) == dim)
+        nondeg.append(rank_frac(exact_jac) == data.rank)
         jac = _jac_batch(np.array([state]), mon, exponents, gamma)[0]
         real_parts = np.linalg.eigvals(jac).real
         if np.all(real_parts < -STABILITY_MARGIN):
@@ -231,7 +215,6 @@ def rate_search(
     net: ReactionNetwork,
     budget: int = 10000,
     seed: int = 0,
-    **search_options,
 ) -> SteadyStateWitness | None:
     """Sample rate constants log-uniformly in [1e-3, 1e3] until some
     sample yields at least two nondegenerate positive steady states.
@@ -247,7 +230,7 @@ def rate_search(
     r = net.num_reactions
     for _ in range(budget):
         kappa = tuple(Fraction(10.0 ** rng.uniform(-3.0, 3.0)) for _ in range(r))
-        witness = witness_search(net, kappa, seed=seed, **search_options)
+        witness = witness_search(net, kappa, seed=seed)
         if witness.count_nondegenerate() >= 2:
             return witness
     return None

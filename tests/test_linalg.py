@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
-from crnmss.linalg import det_int, mat_vec, rank_frac, rank_int, submatrix, transpose
+from crnmss.linalg import det_int, rank_frac, rank_int, submatrix
 
 
 def det_by_permutation_expansion(matrix):
@@ -86,7 +86,5 @@ def test_rank_frac_agrees_with_rank_int():
 
 def test_mat_vec_transpose_submatrix():
     m = [[1, 2, 3], [4, 5, 6]]
-    assert mat_vec(m, [Fraction(1), Fraction(1, 2), 0]) == [Fraction(2), Fraction(13, 2)]
-    assert transpose(m) == [[1, 4], [2, 5], [3, 6]]
     assert submatrix(m, [1], [0, 2]) == [[4, 6]]
     assert submatrix(m, [0, 1], [1]) == [[2], [5]]

@@ -1,6 +1,7 @@
-"""Property tests of the species-major square embedded network scan."""
+"""Property tests of the square embedded network stream and the injectivity scan."""
 
 import itertools
+import math
 import random
 
 from hypothesis import given, settings
@@ -73,6 +74,33 @@ def test_enumerate_sens_matches_pairwise_restriction(seed):
                 if None not in restricted and len(set(restricted)) == k:
                     expected.append((rxn_subset, sp_subset, tuple(restricted)))
         assert [sen_key(sen) for sen in enumerate_sens(net, k)] == expected
+
+
+@property_settings
+@given(seeds)
+def test_filter_drops_exactly_the_sens_holding_a_rejected_restriction(seed):
+    rng = random.Random(seed)
+    net = random_network(rng, max_species=4, max_reactions=5, max_coeff=2)
+    for k in range(1, min(net.num_species, net.num_reactions) + 1):
+        unfiltered = list(enumerate_sens(net, k))
+        restrictions = dict.fromkeys(rxn for sen in unfiltered for rxn in sen.reactions)
+        rejected = {rxn for rxn in restrictions if rng.random() < 0.3}
+        filters = (
+            lambda res: res not in rejected,
+            lambda res: irrelevant_alone(res) is None,
+        )
+        for admit in filters:
+            ticks = []
+            got = list(enumerate_sens(net, k, admit, lambda: ticks.append(None)))
+            expected = [sen for sen in unfiltered if all(map(admit, sen.reactions))]
+            assert [sen_key(sen) for sen in got] == [sen_key(sen) for sen in expected]
+            # work: one unit per species subset, one per combination formed
+            subsets = list(itertools.combinations(range(net.num_species), k))
+            admitted = [
+                [rxn for rxn in net.reactions if (res := restrict_reaction(rxn, sp)) and admit(res)]
+                for sp in subsets
+            ]
+            assert len(ticks) == len(subsets) + sum(math.comb(len(a), k) for a in admitted)
 
 
 def test_sequestration_counterexamples_pinned():

@@ -2,6 +2,9 @@
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from crnmss.linalg import rank_int
 from crnmss.network import parse_network
 from crnmss.structure import (
@@ -114,3 +117,25 @@ def test_deficiency_per_class_sums_to_at_most_total():
         assert sum(rep.per_class) <= rep.total
         assert rep.total == rep.num_complexes - rep.num_linkage_classes - rep.rank
     assert seen_applicable > 20
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_deficiency_per_class_matches_rebuilt_reaction_vectors(seed):
+    net = random_network(random.Random(seed), max_species=4, max_reactions=5, max_coeff=2)
+    rep = deficiency(net)
+    if not rep.applicable:
+        return
+    complexes = net.complexes()
+    s = net.num_species
+    expected = []
+    for lc in linkage_classes(net):
+        members = {complexes[i] for i in lc}
+        vectors = [
+            [rxn.product.coeff(i) - rxn.reactant.coeff(i) for i in range(s)]
+            for rxn in net.reactions
+            if rxn.reactant in members
+        ]
+        gamma = [[v[i] for v in vectors] for i in range(s)] if vectors else []
+        expected.append(len(lc) - 1 - rank_int(gamma))
+    assert rep.per_class == tuple(expected)
