@@ -602,15 +602,31 @@ def determinant_optimization(net: ReactionNetwork) -> DetOptCertificate | None:
 # atom database search
 
 
-def _atom_database(max_coeff: int) -> Iterator[tuple[str, ReactionNetwork]]:
+def _atom_database(net: ReactionNetwork) -> Iterator[tuple[str, ReactionNetwork]]:
+    """The 11 atoms, then the G(m,n) and H(m,n) that ``net`` could hold,
+    each family by (m, n).
+
+    G(m,n) embeds only where some reaction restricts to m X -> n X on one
+    species, and H(m,n) only where one restricts to X + Y -> m X + n Y on
+    two, so those (m, n) are read off the reactions.
+    """
     for idx, atom in families.load_atoms():
         yield f"2rxn-{idx}", atom
-    for m in range(2, max_coeff + 1):
-        for n in range(m + 1, max_coeff + 1):
-            yield f"G({m},{n})", families.generate(families.FamilySpec("G", m, n))
-    for m in range(2, max_coeff + 1):
-        for n in range(2, max_coeff + 1):
-            yield f"H({m},{n})", families.generate(families.FamilySpec("H", m, n))
+    g_params, h_params = set(), set()
+    for rxn in net.reactions:
+        for x, m in rxn.reactant:
+            n = rxn.product.coeff(x)
+            if 2 <= m < n:
+                g_params.add((m, n))
+        ones = [x for x, c in rxn.reactant if c == 1]
+        for x, y in itertools.permutations(ones, 2):
+            m, n = rxn.product.coeff(x), rxn.product.coeff(y)
+            if m >= 2 and n >= 2:
+                h_params.add((m, n))
+    for m, n in sorted(g_params):
+        yield f"G({m},{n})", families.generate(families.FamilySpec("G", m, n))
+    for m, n in sorted(h_params):
+        yield f"H({m},{n})", families.generate(families.FamilySpec("H", m, n))
 
 
 @dataclass(frozen=True)
@@ -629,14 +645,15 @@ class AtomMatch:
 
 
 def atom_db_matches(net: ReactionNetwork) -> Iterator[AtomMatch]:
-    """Stream every known multistationary atom embedded in ``net``.
+    """Stream every known multistationary atom embedded in ``net``, in
+    database order: the 11 two-reaction atoms, then G(m,n) with
+    2 <= m < n, then H(m,n) with m, n >= 2.
 
-    The parametric families are bounded by the maximum stoichiometric
-    coefficient of the query because restriction never increases
-    coefficients.
+    Only the family members whose non-flow reaction is the restriction of
+    some reaction of ``net`` are tried, so the work grows with the size of
+    ``net`` and not with its largest coefficient.
     """
-    max_coeff = net.max_coefficient()
-    for atom_id, atom in _atom_database(max_coeff):
+    for atom_id, atom in _atom_database(net):
         witness = find_embedding(atom, net)
         if witness is not None:
             yield AtomMatch(atom_id, atom, witness)

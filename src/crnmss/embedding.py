@@ -381,13 +381,10 @@ def _reaction_compatible(
     return True
 
 
-def find_embedding(
-    pattern: ReactionNetwork, host: ReactionNetwork, match_names: bool = False
-) -> EmbeddingWitness | None:
+def find_embedding(pattern: ReactionNetwork, host: ReactionNetwork) -> EmbeddingWitness | None:
     """Search for an embedding of ``pattern`` into ``host``.
 
-    Matching is up to species renaming unless ``match_names`` forces the
-    injection to preserve names.  The returned witness is the
+    Matching is up to species renaming.  The returned witness is the
     lexicographically least assignment (pattern species in index order,
     host candidates ascending), with each pattern reaction realized by the
     smallest-index host reaction.
@@ -414,8 +411,6 @@ def find_embedding(
             return True
         for h in range(hs):
             if used[h]:
-                continue
-            if match_names and pattern.species[q].name != host.species[h].name:
                 continue
             image[q] = h
             used[h] = True

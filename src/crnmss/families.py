@@ -15,6 +15,7 @@ of each member (G, Gbar, H and the atoms are already fully open).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from importlib import resources
 
@@ -48,6 +49,7 @@ class FamilySpec:
             raise ValueError("K requires n >= 2")
 
 
+@functools.cache  # networks are immutable, so one parse serves every caller
 def load_atom(index: int) -> ReactionNetwork:
     if not 1 <= index <= NUM_ATOMS:
         raise ValueError(f"atom index must be in 1..{NUM_ATOMS}")

@@ -51,20 +51,6 @@ class MassActionSystem:
                     out[i] += rate * gamma_col[i]
         return out
 
-    def polynomials(self) -> list[dict[tuple[int, ...], Fraction]]:
-        """Per species, map exponent tuple -> rational coefficient."""
-        s = self.num_species
-        polys: list[dict[tuple[int, ...], Fraction]] = [dict() for _ in range(s)]
-        for k_const, expo, gamma_col in self.terms:
-            for i in range(s):
-                if gamma_col[i]:
-                    cur = polys[i].get(expo, Fraction(0)) + k_const * gamma_col[i]
-                    if cur == 0:
-                        polys[i].pop(expo, None)
-                    else:
-                        polys[i][expo] = cur
-        return polys
-
 
 def mass_action_system(
     net: ReactionNetwork, kappa: Sequence[Fraction | int | str]

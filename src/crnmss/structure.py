@@ -49,121 +49,70 @@ def _complex_graph(net: ReactionNetwork) -> tuple[int, list[tuple[int, int]]]:
     return len(index), edges
 
 
+def strong_components(num_nodes: int, edges: list[tuple[int, int]]) -> list[list[int]]:
+    """Groups of nodes that reach each other, each sorted, ordered by
+    smallest member.  A search from every node finds what it reaches, so
+    the work is quadratic in ``num_nodes``.
+    """
+    adj: list[list[int]] = [[] for _ in range(num_nodes)]
+    for u, v in edges:
+        adj[u].append(v)
+    reach = []
+    for root in range(num_nodes):
+        seen = {root}
+        stack = [root]
+        while stack:
+            for v in adj[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        reach.append(seen)
+    # each node's group of mutual reach, kept once: at its smallest member
+    mutual = [sorted(v for v in reach[u] if u in reach[v]) for u in range(num_nodes)]
+    return [comp for u, comp in enumerate(mutual) if comp[0] == u]
+
+
 def linkage_classes(net: ReactionNetwork) -> list[list[int]]:
-    """Connected components of the undirected complex graph.
+    """Connected components of the undirected complex graph: the strong
+    components once every edge also runs reversed.
 
     Returns lists of complex indices (into ``net.complexes()``), each
     sorted, ordered by smallest member.
     """
     p, edges = _complex_graph(net)
-    parent = list(range(p))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    groups: dict[int, list[int]] = {}
-    for node in range(p):
-        groups.setdefault(find(node), []).append(node)
-    return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
-
-
-def strong_components(num_nodes: int, edges: list[tuple[int, int]]) -> list[list[int]]:
-    """Tarjan's algorithm, iterative.  Components sorted by smallest member."""
-    adj: list[list[int]] = [[] for _ in range(num_nodes)]
-    for u, v in edges:
-        adj[u].append(v)
-    index_counter = 0
-    indices = [-1] * num_nodes
-    lowlink = [0] * num_nodes
-    on_stack = [False] * num_nodes
-    stack: list[int] = []
-    components: list[list[int]] = []
-
-    for root in range(num_nodes):
-        if indices[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            node, ptr = work[-1]
-            if ptr == 0:
-                indices[node] = lowlink[node] = index_counter
-                index_counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            while ptr < len(adj[node]):
-                child = adj[node][ptr]
-                ptr += 1
-                if indices[child] == -1:
-                    work[-1] = (node, ptr)
-                    work.append((child, 0))
-                    advanced = True
-                    break
-                if on_stack[child]:
-                    lowlink[node] = min(lowlink[node], indices[child])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[node] == indices[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == node:
-                        break
-                components.append(sorted(comp))
-            if work:
-                parent_node = work[-1][0]
-                lowlink[parent_node] = min(lowlink[parent_node], lowlink[node])
-    return sorted(components, key=lambda c: c[0])
+    return strong_components(p, edges + [(v, u) for u, v in edges])
 
 
 def terminal_strong_linkage_classes(net: ReactionNetwork) -> dict:
-    """Strong linkage classes and the terminal ones (no edges leaving).
+    """Linkage classes, strong linkage classes and the terminal ones (no
+    edges leaving), from one complex graph.
 
     Returns a dict with keys:
+      "linkage": the linkage classes, as from ``linkage_classes``,
       "strong": list of strong linkage classes (complex index lists),
       "terminal": the terminal subset,
-      "per_linkage_class": list (parallel to linkage_classes) of counts of
-          terminal classes inside each linkage class,
       "unique_per_class": True iff every linkage class has exactly one.
+    Every linkage class holds at least one terminal class, so the last is
+    True iff there are as many terminal classes as linkage classes.
     """
     p, edges = _complex_graph(net)
     sccs = strong_components(p, edges)
-    comp_of = [0] * p
-    for ci, comp in enumerate(sccs):
-        for node in comp:
-            comp_of[node] = ci
-    has_exit = [False] * len(sccs)
-    for u, v in edges:
-        if comp_of[u] != comp_of[v]:
-            has_exit[comp_of[u]] = True
-    terminal = [sccs[i] for i in range(len(sccs)) if not has_exit[i]]
-    lclasses = linkage_classes(net)
-    counts = []
-    for lc in lclasses:
-        members = set(lc)
-        counts.append(sum(1 for t in terminal if t[0] in members))
+    comp_of = {node: ci for ci, comp in enumerate(sccs) for node in comp}
+    exits = {comp_of[u] for u, v in edges if comp_of[u] != comp_of[v]}
+    terminal = [comp for ci, comp in enumerate(sccs) if ci not in exits]
+    lclasses = strong_components(p, edges + [(v, u) for u, v in edges])
     return {
+        "linkage": lclasses,
         "strong": sccs,
         "terminal": terminal,
-        "per_linkage_class": counts,
-        "unique_per_class": all(c == 1 for c in counts),
+        "unique_per_class": len(terminal) == len(lclasses),
     }
 
 
 def is_weakly_reversible(net: ReactionNetwork) -> bool:
     """True iff every linkage class is a single strong component."""
     info = terminal_strong_linkage_classes(net)
-    return len(info["strong"]) == len(linkage_classes(net))
+    return len(info["strong"]) == len(info["linkage"])
 
 
 @dataclass(frozen=True)
@@ -187,10 +136,10 @@ def deficiency(net: ReactionNetwork, data: StoichData | None = None) -> Deficien
     """
     if data is None:
         data = stoich(net)
-    lclasses = linkage_classes(net)
+    info = terminal_strong_linkage_classes(net)
+    lclasses = info["linkage"]
     p = len(net.complexes())
     l = len(lclasses)
-    info = terminal_strong_linkage_classes(net)
     if not info["unique_per_class"]:
         return DeficiencyReport(
             applicable=False,

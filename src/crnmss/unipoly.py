@@ -189,31 +189,6 @@ def isolate_positive_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
     return out
 
 
-def _derivative_sign_at_root(
-    p: UniPoly, a: Fraction, b: Fraction, max_steps: int = 400
-) -> int:
-    """Sign of p' at the unique (simple) root of p inside (a, b]."""
-    d = p.derivative()
-    chain = sturm_sequence(p)
-    dchain = sturm_sequence(d) if d.degree >= 1 else None
-    for _ in range(max_steps):
-        if p(b) == 0:
-            return _sign(d(b))
-        if dchain is None:
-            return _sign(d(a)) or _sign(d(b))
-        no_droot = count_roots_in(dchain, a, b) == 0 and d(a) != 0
-        if no_droot:
-            return _sign(d(a))
-        mid = (a + b) / 2
-        if p(mid) == 0:
-            return _sign(d(mid))
-        if count_roots_in(chain, a, mid) == 1:
-            b = mid
-        else:
-            a = mid
-    raise RuntimeError("root refinement did not converge")
-
-
 def stable_positive_root_count(p: UniPoly) -> tuple[int, int]:
     """(distinct positive roots, how many are stable as 1-d steady states).
 
@@ -228,9 +203,13 @@ def stable_positive_root_count(p: UniPoly) -> tuple[int, int]:
     # sign(p') and sign(q') agree at positive roots when p = a^k q, so the
     # stripped polynomial serves for both isolation and the crossing test
     reduced, _ = p.shift_down()
+    d = reduced.derivative()
     stable = 0
-    for a, b in isolate_positive_roots(reduced):
-        if _derivative_sign_at_root(reduced, a, b) < 0:
+    for _, b in isolate_positive_roots(reduced):
+        # the simple root r is the only root in (a, b], so on (r, b] the
+        # polynomial keeps the sign it crosses with, the sign of p'(r);
+        # when b is r itself that sign is p'(b)
+        if (_sign(reduced(b)) or _sign(d(b))) < 0:
             stable += 1
     return count, stable
 

@@ -31,7 +31,7 @@ from crnmss.decide import (
     to_jsonable,
 )
 from crnmss.cli import main
-from crnmss.embedding import fully_open_extension, is_cfstr, is_fully_open
+from crnmss.embedding import find_embedding, fully_open_extension, is_cfstr, is_fully_open
 from crnmss.families import FamilySpec, generate, load_atom
 from crnmss.network import parse_network, render_network
 from crnmss.structure import deficiency, is_weakly_reversible
@@ -236,6 +236,62 @@ def test_atom_db_search():
     # no atom fits in a monomolecular network
     assert atom_db_search(fully_open_extension(parse_network("A <-> B"))) is None
     assert list(atom_db_matches(fully_open_extension(parse_network("A <-> B")))) == []
+
+
+def full_atom_database(max_coeff):
+    """Every atom and every G(m,n) and H(m,n) up to ``max_coeff``, in
+    database order."""
+    for idx in range(1, 12):
+        yield f"2rxn-{idx}", load_atom(idx)
+    for m in range(2, max_coeff + 1):
+        for n in range(m + 1, max_coeff + 1):
+            yield f"G({m},{n})", generate(FamilySpec("G", m, n))
+    for m in range(2, max_coeff + 1):
+        for n in range(2, max_coeff + 1):
+            yield f"H({m},{n})", generate(FamilySpec("H", m, n))
+
+
+def test_atom_db_matches_equal_the_full_database_search():
+    nets = [load_atom(idx) for idx in range(1, 12)]
+    nets += [
+        generate(FamilySpec(family, m, n))
+        for family in ("G", "Gbar", "H")
+        for m in range(1, 6)
+        for n in range(1, 6)
+        if m != n or (family == "H" and m > 1)
+    ]
+    rng = random.Random(61)
+    nets += [fully_open_extension(random_network(rng, max_coeff=4)) for _ in range(120)]
+    total = 0
+    for net in nets:
+        expected = []
+        for atom_id, atom in full_atom_database(net.max_coefficient()):
+            witness = find_embedding(atom, net)
+            if witness is not None:
+                expected.append((atom_id, witness))
+        got = [(match.atom_id, match.witness) for match in atom_db_matches(net)]
+        assert got == expected, render_network(net)
+        total += len(got)
+    assert total > 100
+
+
+def test_atom_search_work_does_not_grow_with_coefficients(monkeypatch):
+    import crnmss.decide
+
+    calls = []
+
+    def counting(pattern, host):
+        calls.append(pattern)
+        return find_embedding(pattern, host)
+
+    monkeypatch.setattr(crnmss.decide, "find_embedding", counting)
+    net = parse_network(
+        "0 <-> A\n0 <-> B\n0 <-> C\n2 A <-> A + B\nA + C <-> B + C\nC -> 60 C + A"
+    )
+    list(atom_db_matches(net))
+    # the 11 atoms; no reaction restricts to a G or H non-flow reaction,
+    # where trying every member up to coefficient 60 would make 5,203 calls
+    assert len(calls) == 11
 
 
 def test_analyze_deficiency_routes():

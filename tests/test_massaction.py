@@ -29,13 +29,6 @@ def test_rhs_zero_order_terms():
     assert sys.rhs([Fraction(5)]) == [0]
 
 
-def test_polynomials():
-    net = parse_network("A + B -> 2 A\nA -> 0")
-    polys = mass_action_system(net, [2, 3]).polynomials()
-    assert polys[0] == {(1, 1): Fraction(2), (1, 0): Fraction(-3)}
-    assert polys[1] == {(1, 1): Fraction(-2)}
-
-
 def test_rate_validation():
     net = parse_network("A -> B")
     with pytest.raises(ValueError):

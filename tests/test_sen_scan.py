@@ -115,3 +115,11 @@ def test_sequestration_counterexamples_pinned():
         assert sen.species_indices == tuple(range(n))
         assert sen.species_names() == tuple(f"X{i}" for i in range(1, n + 1))
         assert _sen_description(sen)["reactions"] == reactions
+
+
+def test_scan_order_pinned_where_reaction_and_species_major_disagree():
+    # two negative relevant SENs of size 1: reaction-major order finds
+    # reaction 3 on species 3 first, species-major order reaction 4 on species 2
+    net = random_cfstr(random.Random(24), max_species=4, max_nonflow=5, max_coeff=2)
+    sen = cfstr_injectivity(net).negative_sen
+    assert (sen.reaction_indices, sen.species_indices) == ((3,), (3,))

@@ -139,3 +139,40 @@ def test_deficiency_per_class_matches_rebuilt_reaction_vectors(seed):
         gamma = [[v[i] for v in vectors] for i in range(s)] if vectors else []
         expected.append(len(lc) - 1 - rank_int(gamma))
     assert rep.per_class == tuple(expected)
+
+
+def test_network_facts_builds_the_complex_graph_at_most_twice(monkeypatch):
+    import crnmss.structure
+    from crnmss.decide import network_facts
+
+    calls = []
+    build = crnmss.structure._complex_graph
+
+    def counting(net):
+        calls.append(net)
+        return build(net)
+
+    monkeypatch.setattr(crnmss.structure, "_complex_graph", counting)
+    network_facts(parse_network("A -> B\nB -> A\nB -> C\n2 C <-> D"))
+    assert len(calls) <= 2
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_strong_components_match_mutual_reachability(seed):
+    rng = random.Random(seed)
+    n = rng.randint(0, 8)
+    edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 12))] if n else []
+    reach = [[u == v for v in range(n)] for u in range(n)]
+    for u, v in edges:
+        reach[u][v] = True
+    for w in range(n):  # Warshall's transitive closure
+        for u in range(n):
+            for v in range(n):
+                reach[u][v] = reach[u][v] or (reach[u][w] and reach[w][v])
+    expected = []
+    for u in range(n):
+        group = [v for v in range(n) if reach[u][v] and reach[v][u]]
+        if group not in expected:
+            expected.append(group)
+    assert strong_components(n, edges) == sorted(expected)
