@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from . import families
+from . import embedding, families
 from .embedding import (
     EmbeddingWitness,
+    LimitExceeded,
     SquareEmbeddedNetwork,
     enumerate_sens,
     find_embedding,
@@ -44,17 +45,6 @@ NO_POSITIVE_STEADY_STATES = "NO_POSITIVE_STEADY_STATES"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 SignVector = tuple[int, ...]
-
-# Work bound of the injectivity stage: species subsets plus reaction
-# combinations examined by the CFSTR scan, or index pairs of the minors
-# scan.  Past it the stage raises LimitExceeded.  The largest benchmark
-# network, fully open K(2,10), needs 1,024.
-INJECTIVITY_WORK_LIMIT = 1_000_000
-
-
-class LimitExceeded(RuntimeError):
-    """An enumeration was refused because its size bound was exceeded."""
-
 
 def to_jsonable(value):
     """Recursively turn Fractions into strings for JSON output."""
@@ -203,8 +193,8 @@ def injectivity_minors(
     Scans index pairs lexicographically and stops at the first conflict.
     The all-zero outcome is reported as "degenerate" and treated as not
     injective by callers.  ``data`` is ``stoich(net)`` when the caller
-    has it already.  More than ``INJECTIVITY_WORK_LIMIT`` index pairs
-    raise ``LimitExceeded`` before any minor is computed.
+    has it already.  More than ``embedding.WORK_LIMIT`` index pairs raise
+    ``LimitExceeded`` before any minor is computed.
     """
     if data is None:
         data = stoich(net)
@@ -213,11 +203,8 @@ def injectivity_minors(
     reactant = [list(row) for row in data.reactant_matrix]
     s, r = net.num_species, net.num_reactions
     pairs = math.comb(s, k) * math.comb(r, k)
-    if pairs > INJECTIVITY_WORK_LIMIT:
-        raise LimitExceeded(
-            f"injectivity: {pairs} minor pairs exceed the work bound "
-            f"{INJECTIVITY_WORK_LIMIT}"
-        )
+    if pairs > embedding.WORK_LIMIT:
+        raise LimitExceeded(f"{pairs} minor pairs exceed the work bound {embedding.WORK_LIMIT}")
     first: tuple | None = None
     sign = 0
     for species_subset in itertools.combinations(range(s), k):
@@ -366,28 +353,18 @@ def cfstr_injectivity(net: ReactionNetwork) -> InjectivityReport:
     through ``sen_is_relevant`` and the exact ``orientation``.  The stream
     is ordered, so the counterexample is the first hit: the negative SEN
     of least size that is least by (reaction_indices, species_indices).
-    Forming more than ``INJECTIVITY_WORK_LIMIT`` species subsets plus
-    reaction combinations raises ``LimitExceeded``.
+    The work bound of ``enumerate_sens`` holds for each size k on its own,
+    not for the sizes together; past it the scan raises ``LimitExceeded``.
     """
     if not is_cfstr(net):
         raise ValueError("cfstr_injectivity requires every species to have an outflow")
     g0 = non_flow_subnetwork(net)
-    work = 0
-
-    def tick() -> None:
-        nonlocal work
-        work += 1
-        if work > INJECTIVITY_WORK_LIMIT:
-            raise LimitExceeded(
-                "injectivity: square embedded network scan exceeds the work "
-                f"bound {INJECTIVITY_WORK_LIMIT}"
-            )
 
     def admit(res) -> bool:
         return irrelevant_alone(res) is None
 
     for k in range(1, min(g0.num_species, g0.num_reactions) + 1):
-        for sen in enumerate_sens(g0, k, admit, tick):
+        for sen in enumerate_sens(g0, k, admit):
             if sen_is_relevant(sen)[0] and orientation(sen) < 0:
                 return InjectivityReport("cfstr-sen", "not-injective", negative_sen=sen)
     return InjectivityReport("cfstr-sen", "injective")
@@ -568,7 +545,11 @@ def determinant_optimization(net: ReactionNetwork) -> DetOptCertificate | None:
     """Search for a negatively oriented full-size SEN of the non-flow
     subnetwork whose reaction vectors admit a positive combination with
     positive species totals; such a certificate makes the fully open
-    extension multistationary."""
+    extension multistationary.
+
+    The SENs come from one ``enumerate_sens`` scan, so past its work bound
+    the search raises ``LimitExceeded``.
+    """
     if not is_cfstr(net):
         raise ValueError("determinant optimization requires a CFSTR")
     s = net.num_species
@@ -802,7 +783,10 @@ class AnalyzeOptions:
 
 
 def analyze(net: ReactionNetwork, options: AnalyzeOptions | None = None) -> AnalysisResult:
-    """Run the listed stages in order; the first conclusive stage wins."""
+    """Run the listed stages in order; the first conclusive stage wins.
+
+    A stage past a work bound raises ``LimitExceeded`` with its name first.
+    """
     opts = options or AnalyzeOptions()
     facts = network_facts(net)
     notes: list[str] = []
@@ -810,7 +794,10 @@ def analyze(net: ReactionNetwork, options: AnalyzeOptions | None = None) -> Anal
         stage = STAGES.get(name)
         if stage is None:
             raise ValueError(f"unknown pipeline stage {name!r}")
-        outcome = stage(net, facts, opts)
+        try:
+            outcome = stage(net, facts, opts)
+        except LimitExceeded as exc:
+            raise LimitExceeded(f"{name}: {exc}") from exc
         if isinstance(outcome, str):
             notes.append(outcome)
         elif outcome is not None:

@@ -201,11 +201,20 @@ def orientation(sen: SquareEmbeddedNetwork) -> int:
     return det_int(reactant_mat) * det_int(diff_mat)
 
 
+# Work bound of one square embedded network scan: species subsets plus
+# reaction combinations formed.  The largest benchmark scan, fully open
+# K(2,10), needs 1,024.
+WORK_LIMIT = 1_000_000
+
+
+class LimitExceeded(RuntimeError):
+    """An enumeration was refused because its size bound was exceeded."""
+
+
 def enumerate_sens(
     net: ReactionNetwork,
     k: int,
     admit: Callable[[Reaction], bool] | None = None,
-    tick: Callable[[], None] | None = None,
 ) -> Iterator[SquareEmbeddedNetwork]:
     """All size-k square embedded networks, lexicographic in (reactions, species).
 
@@ -215,25 +224,34 @@ def enumerate_sens(
     lexicographic reaction order when they are pairwise distinct.
     ``heapq.merge`` joins the streams by (reaction_indices,
     species_indices).  A SEN is left out exactly when ``admit`` rejects
-    one of its restrictions.  ``tick`` is called once per species subset
-    and once per reaction combination formed, duplicates included.  With
-    k equal to the number of species, as in determinant optimization,
-    there is a single stream.
+    one of its restrictions.  With k equal to the number of species, as in
+    determinant optimization, there is a single stream.
+
+    One unit of work is a species subset or a reaction combination
+    formed, duplicates included; past ``WORK_LIMIT`` units the scan raises
+    ``LimitExceeded``.
     """
     if k < 1 or k > min(net.num_reactions, net.num_species):
         return
+    work = 0
+
+    def spend() -> None:
+        nonlocal work
+        work += 1
+        if work > WORK_LIMIT:
+            raise LimitExceeded(
+                f"square embedded network scan exceeds the work bound {WORK_LIMIT}"
+            )
 
     def stream(sp_subset: tuple[int, ...]):
-        if tick is not None:
-            tick()
+        spend()
         candidates = [
             (i, res)
             for i, res in enumerate(restrict_each(net.reactions, sp_subset))
             if res is not None and (admit is None or admit(res))
         ]
         for combo in itertools.combinations(candidates, k):
-            if tick is not None:
-                tick()
+            spend()
             restricted = tuple(res for _, res in combo)
             if len(set(restricted)) == k:
                 yield tuple(i for i, _ in combo), sp_subset, restricted
@@ -317,10 +335,10 @@ def _relevance(
             return False, "a species appears in fewer than two complexes"
         if not any(rxn.reactant.coeff(idx) != 0 for rxn in reactions):
             return False, "a species appears in no reactant complex"
-    merged = _merged_nonflow(reactions)
+    # flows and reverse pairs are rejected above, so no pair needs merging
     best = 0
     for idx in species_indices:
-        tm = sum(r.reactant.coeff(idx) + r.product.coeff(idx) for r in merged)
+        tm = sum(r.reactant.coeff(idx) + r.product.coeff(idx) for r in reactions)
         best = max(best, tm)
     if best < 3:
         return False, "maximum total molecularity is below three"
@@ -420,7 +438,7 @@ def find_embedding(pattern: ReactionNetwork, host: ReactionNetwork) -> Embedding
             image[q] = -1
         return False
 
-    if not feasible(0) or not assign(0):
+    if not assign(0):
         return None
     reaction_map = []
     for rxn_p in pattern.reactions:

@@ -2,7 +2,6 @@
 
 Matrix conventions (species count s, reaction count r, complex count p):
 
-* complex matrix Y: p x s, row i = dense vector of complex i;
 * stoichiometric matrix Gamma: s x r, column k = product - reactant of
   reaction k; its column span is the stoichiometric subspace;
 * reactant matrix M: r x s, row k = reactant complex of reaction k.
@@ -22,7 +21,6 @@ from .network import ReactionNetwork
 
 @dataclass(frozen=True)
 class StoichData:
-    complex_matrix: tuple[tuple[int, ...], ...]  # p x s
     stoich_matrix: tuple[tuple[int, ...], ...]  # s x r
     reactant_matrix: tuple[tuple[int, ...], ...]  # r x s
     rank: int  # dim of the stoichiometric subspace
@@ -30,8 +28,6 @@ class StoichData:
 
 def stoich(net: ReactionNetwork) -> StoichData:
     s = net.num_species
-    complexes = net.complexes()
-    y = tuple(tuple(cpx.vector(s)) for cpx in complexes)
     gamma_cols = []
     m_rows = []
     for rxn in net.reactions:
@@ -40,7 +36,7 @@ def stoich(net: ReactionNetwork) -> StoichData:
         gamma_cols.append([pvec[i] - rvec[i] for i in range(s)])
         m_rows.append(tuple(rvec))
     gamma = tuple(tuple(col[i] for col in gamma_cols) for i in range(s))
-    return StoichData(y, gamma, tuple(m_rows), rank_int(gamma))
+    return StoichData(gamma, tuple(m_rows), rank_int(gamma))
 
 
 def _complex_graph(net: ReactionNetwork) -> tuple[int, list[tuple[int, int]]]:
@@ -156,7 +152,8 @@ def deficiency(net: ReactionNetwork, data: StoichData | None = None) -> Deficien
         members = set(lc)
         cols = [j for j, rxn in enumerate(net.reactions) if index[rxn.reactant] in members]
         gamma = submatrix(data.stoich_matrix, range(net.num_species), cols)
-        per.append(len(lc) - 1 - rank_int(gamma))
+        # a single linkage class holds the whole matrix, ranked already
+        per.append(len(lc) - 1 - (data.rank if l == 1 else rank_int(gamma)))
     return DeficiencyReport(
         applicable=True,
         total=p - l - data.rank,

@@ -192,26 +192,16 @@ def isolate_positive_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
 def stable_positive_root_count(p: UniPoly) -> tuple[int, int]:
     """(distinct positive roots, how many are stable as 1-d steady states).
 
-    A root is stable when the polynomial crosses downward there, i.e. the
-    derivative is negative.  Requires every positive root to be simple.
+    A root is stable when the polynomial crosses downward there.  Requires
+    every positive root to be simple.  Then q = p / a^k with q(0) != 0
+    changes sign at each positive root, as p does, so the crossings
+    alternate and the first one goes down exactly when q(0) > 0.
     """
     count, simple = positive_root_count(p)
     if not simple:
         raise ValueError("multiple positive root detected; stability is undefined")
-    if count == 0:
-        return 0, 0
-    # sign(p') and sign(q') agree at positive roots when p = a^k q, so the
-    # stripped polynomial serves for both isolation and the crossing test
     reduced, _ = p.shift_down()
-    d = reduced.derivative()
-    stable = 0
-    for _, b in isolate_positive_roots(reduced):
-        # the simple root r is the only root in (a, b], so on (r, b] the
-        # polynomial keeps the sign it crosses with, the sign of p'(r);
-        # when b is r itself that sign is p'(b)
-        if (_sign(reduced(b)) or _sign(d(b))) < 0:
-            stable += 1
-    return count, stable
+    return count, (count + (reduced.coeffs[0] > 0)) // 2
 
 
 def family_polynomial(

@@ -105,6 +105,24 @@ def test_check_inconclusive_exits_3(tmp_path, capsys):
     assert report["verdict"]["certificate"] is None
 
 
+def test_check_numeric_stage_exhausts_its_budget(capsys, monkeypatch):
+    text = "0 <-> A\n0 <-> B\n0 <-> C\n2 A <-> A + B\nA + C <-> B + C\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert main(["check", "-", "--budget", "2"]) == 3
+    out = capsys.readouterr().out
+    assert "verdict: INCONCLUSIVE" in out
+    assert out.endswith("  - numeric search found no multiple steady states within budget 2\n")
+
+
+def test_check_text_prints_a_multiline_certificate_value_indented(tmp_path, capsys):
+    path = write_net(tmp_path, render_network(load_atom(2)))
+    assert main(["check", path, "--no-numeric"]) == 0
+    out = capsys.readouterr().out
+    atom_lines = "".join(f"    {line}\n" for line in render_network(load_atom(2)).splitlines())
+    assert "certificate: atom-embedding\n  atom: 2rxn-2\n  atom_network:\n" + atom_lines in out
+    assert "  species_map: [0, 1]\n" in out
+
+
 def test_check_fully_open_flag(tmp_path, capsys):
     path = write_net(tmp_path, "2 A -> 3 A")
     assert main(["check", path, "--fully-open"]) == 0
@@ -244,12 +262,29 @@ def test_injectivity_work_bound_exits_4(tmp_path, capsys, monkeypatch, text):
     path = write_net(tmp_path, text)
     assert main(["check", path, "--no-numeric"]) in (0, 3)
     capsys.readouterr()
-    monkeypatch.setattr("crnmss.decide.INJECTIVITY_WORK_LIMIT", 2)
+    monkeypatch.setattr("crnmss.embedding.WORK_LIMIT", 2)
     assert main(["check", path, "--no-numeric"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: injectivity:" in captured.err
     assert "work bound 2" in captured.err
+
+
+def test_det_opt_work_bound_names_its_stage(tmp_path, capsys, monkeypatch):
+    # atom 1 on X1, X2 plus Xi + Xj -> X6 for the pairs of X1..X5, fully
+    # open: injectivity stops at its first SEN after 7 units of work, while
+    # det-opt forms 1 + C(12, 6) = 925 units and finds no certificate
+    pairs = [f"X{i} + X{j} -> X6" for i in range(1, 6) for j in range(i + 1, 6)]
+    net = fully_open_extension(parse_network("\n".join(["X1 -> 2 X1", "X1 + X2 -> 0"] + pairs)))
+    path = write_net(tmp_path, render_network(net))
+    assert main(["check", path, "--no-numeric"]) == 0
+    assert "certificate: atom-embedding" in capsys.readouterr().out
+    monkeypatch.setattr("crnmss.embedding.WORK_LIMIT", 100)
+    assert main(["check", path, "--no-numeric"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: det-opt: ")
+    assert captured.err.rstrip().endswith("work bound 100")
 
 
 def test_limit_exceeded_exits_4(tmp_path, capsys, monkeypatch):

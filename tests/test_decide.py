@@ -343,6 +343,38 @@ def test_analyze_det_opt_and_atoms():
     assert res.verdict.certificate["atom"] == "2rxn-11"
 
 
+def test_analyze_minors_verdict_and_degenerate_note():
+    # atlas case rand4-053: not a CFSTR, every minor product is negative
+    res = analyze(parse_network("0 -> 2 S2\n2 S2 + 2 S1 -> S2 + 2 S1"))
+    assert res.verdict.status == NOT_MULTISTATIONARY
+    assert res.verdict.certificate == {"kind": "injectivity-minors", "sign": -1}
+
+    text = (
+        "2 S2 -> S1 + S2 + 2 S3\n2 S1 + 2 S2 + 2 S3 -> 2 S1 + S2\n"
+        "S1 + S3 -> S2\nS1 + S2 + S3 -> 2 S1 + 2 S2"
+    )
+    res = analyze(parse_network(text))
+    assert res.verdict.status == INCONCLUSIVE
+    assert (
+        "injectivity degenerate: every rank-size minor product vanishes; "
+        "treated as not injective"
+    ) in res.verdict.notes
+
+
+def test_analyze_det_opt_certifies_only_the_fully_open_extension():
+    text = "2 S1 + 2 S2 -> S2\n0 -> S2\n2 S1 + S2 -> S2\nS2 -> S1 + 2 S2\nS1 -> 0\nS2 -> 0"
+    net = parse_network(text)
+    res = analyze(net)
+    assert res.verdict.status == INCONCLUSIVE
+    assert (
+        "determinant optimization certifies the fully open extension "
+        "is multistationary (network itself is not fully open)"
+    ) in res.verdict.notes
+    res = analyze(fully_open_extension(net))
+    assert res.verdict.status == MULTISTATIONARY
+    assert res.verdict.certificate["kind"] == "det-opt"
+
+
 def test_analyze_inconclusive_and_stage_control():
     res = analyze(k_tilde(2, 3), AnalyzeOptions(stages=("injectivity",)))
     assert res.verdict.status == INCONCLUSIVE

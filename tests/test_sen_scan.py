@@ -4,11 +4,13 @@ import itertools
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crnmss.decide import _sen_description, cfstr_injectivity
 from crnmss.embedding import (
+    LimitExceeded,
     enumerate_sens,
     fully_open_extension,
     irrelevant_alone,
@@ -90,17 +92,21 @@ def test_filter_drops_exactly_the_sens_holding_a_rejected_restriction(seed):
             lambda res: irrelevant_alone(res) is None,
         )
         for admit in filters:
-            ticks = []
-            got = list(enumerate_sens(net, k, admit, lambda: ticks.append(None)))
-            expected = [sen for sen in unfiltered if all(map(admit, sen.reactions))]
-            assert [sen_key(sen) for sen in got] == [sen_key(sen) for sen in expected]
             # work: one unit per species subset, one per combination formed
             subsets = list(itertools.combinations(range(net.num_species), k))
             admitted = [
                 [rxn for rxn in net.reactions if (res := restrict_reaction(rxn, sp)) and admit(res)]
                 for sp in subsets
             ]
-            assert len(ticks) == len(subsets) + sum(math.comb(len(a), k) for a in admitted)
+            units = len(subsets) + sum(math.comb(len(a), k) for a in admitted)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr("crnmss.embedding.WORK_LIMIT", units)
+                got = list(enumerate_sens(net, k, admit))
+                patch.setattr("crnmss.embedding.WORK_LIMIT", units - 1)
+                with pytest.raises(LimitExceeded, match=f"work bound {units - 1}$"):
+                    list(enumerate_sens(net, k, admit))
+            expected = [sen for sen in unfiltered if all(map(admit, sen.reactions))]
+            assert [sen_key(sen) for sen in got] == [sen_key(sen) for sen in expected]
 
 
 def test_sequestration_counterexamples_pinned():

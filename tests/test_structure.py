@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -155,6 +156,26 @@ def test_network_facts_builds_the_complex_graph_at_most_twice(monkeypatch):
     monkeypatch.setattr(crnmss.structure, "_complex_graph", counting)
     network_facts(parse_network("A -> B\nB -> A\nB -> C\n2 C <-> D"))
     assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("length", [5, 50])
+def test_network_facts_ranks_a_single_linkage_class_once(monkeypatch, length):
+    import crnmss.structure
+    from crnmss.decide import network_facts
+
+    calls = []
+    rank = crnmss.structure.rank_int
+
+    def counting(matrix):
+        calls.append(matrix)
+        return rank(matrix)
+
+    monkeypatch.setattr(crnmss.structure, "rank_int", counting)
+    cycle = "\n".join(f"X{i} -> X{(i + 1) % length}" for i in range(length))
+    facts = network_facts(parse_network(cycle))
+    assert len(calls) == 1
+    assert facts.deficiency.per_class == (0,)
+    assert facts.deficiency.rank == length - 1
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
