@@ -36,9 +36,13 @@ EXIT_LIMIT = 4
 
 def _read_network(path: str) -> ReactionNetwork:
     if path == "-":
-        return parse_network(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_network(handle.read())
+        net = parse_network(sys.stdin.read())
+    else:
+        with open(path, "r", encoding="utf-8") as handle:
+            net = parse_network(handle.read())
+    if net.num_reactions == 0:
+        raise ParseError("the input holds no reaction")
+    return net
 
 
 def structural_summary(net: ReactionNetwork, facts: NetworkFacts) -> dict:

@@ -9,7 +9,6 @@ cheap structural preclusions first and numeric search last.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
@@ -28,7 +27,7 @@ from .embedding import (
     orientation,
     sen_is_relevant,
 )
-from .linalg import det_int, rank_int, submatrix
+from .linalg import rank_int, submatrix
 from .lp import LPResult, solve_feasibility
 from .network import ReactionNetwork, render_complex, render_network
 from .structure import (
@@ -190,49 +189,38 @@ def injectivity_minors(
 ) -> InjectivityReport:
     """All rank-size minor products of (Gamma, reactant matrix) share a sign.
 
-    Scans index pairs lexicographically and stops at the first conflict.
-    The all-zero outcome is reported as "degenerate" and treated as not
-    injective by callers.  ``data`` is ``stoich(net)`` when the caller
-    has it already.  More than ``embedding.WORK_LIMIT`` index pairs raise
-    ``LimitExceeded`` before any minor is computed.
+    For species S and reactions R of size k, det Gamma[S,R] * det M[R,S]
+    is (-1)^k times the orientation of the square embedded network that R
+    restricted to S forms; a pair with a trivial or repeated restriction
+    has a zero or repeated column of Gamma[S,R], so its product is 0.  The
+    scan therefore reads the rank-size ``enumerate_sens`` stream, stops at
+    the first product of the other sign, and reports a ``conflict`` of
+    two (species, reactions, value) triples in stream order.  The all-zero
+    outcome, which includes rank 0, is reported as "degenerate" and
+    treated as not injective by callers.  ``data`` is ``stoich(net)`` when
+    the caller has it already.  The work bound of ``enumerate_sens``
+    applies; past it the scan raises ``LimitExceeded``.
     """
     if data is None:
         data = stoich(net)
     k = data.rank
-    gamma = [list(row) for row in data.stoich_matrix]
-    reactant = [list(row) for row in data.reactant_matrix]
-    s, r = net.num_species, net.num_reactions
-    pairs = math.comb(s, k) * math.comb(r, k)
-    if pairs > embedding.WORK_LIMIT:
-        raise LimitExceeded(f"{pairs} minor pairs exceed the work bound {embedding.WORK_LIMIT}")
     first: tuple | None = None
-    sign = 0
-    for species_subset in itertools.combinations(range(s), k):
-        for rxn_subset in itertools.combinations(range(r), k):
-            d1 = det_int(submatrix(gamma, species_subset, rxn_subset))
-            if d1 == 0:
-                continue
-            d2 = det_int(submatrix(reactant, rxn_subset, species_subset))
-            if d2 == 0:
-                continue
-            value = d1 * d2
-            cur = 1 if value > 0 else -1
-            if sign == 0:
-                sign = cur
-                first = (species_subset, rxn_subset, value)
-            elif cur != sign:
-                return InjectivityReport(
-                    "minors",
-                    "not-injective",
-                    conflict=(first, (species_subset, rxn_subset, value)),
-                )
-    if sign == 0:
+    for sen in enumerate_sens(net, k):
+        value = (-1) ** k * orientation(sen)
+        if value == 0:
+            continue
+        pair = (sen.species_indices, sen.reaction_indices, value)
+        if first is None:
+            first = pair
+        elif (value > 0) != (first[2] > 0):
+            return InjectivityReport("minors", "not-injective", conflict=(first, pair))
+    if first is None:
         return InjectivityReport(
             "minors",
             "degenerate",
             notes=("every rank-size minor product vanishes",),
         )
-    return InjectivityReport("minors", "injective", sign=sign)
+    return InjectivityReport("minors", "injective", sign=1 if first[2] > 0 else -1)
 
 
 def _sign_patterns(length: int) -> Iterator[SignVector]:
@@ -268,7 +256,7 @@ def _sign_constraints(pattern: SignVector, rows: Sequence[Sequence[int]] | None 
     return cons
 
 
-def injectivity_signvectors(net: ReactionNetwork, limit: int = 5) -> InjectivityReport:
+def injectivity_signvectors(net: ReactionNetwork) -> InjectivityReport:
     """Brute-force sign-vector form of the injectivity condition.
 
     The network fails injectivity exactly when some nonzero x whose sign
@@ -276,13 +264,14 @@ def injectivity_signvectors(net: ReactionNetwork, limit: int = 5) -> Injectivity
     in ker(Gamma).  The shared sign vector may be zero (x is what must be
     nonzero); that case is the counterpart of the all-minors-zero outcome
     of the determinant form.  Every sign pattern membership is decided by
-    exact LP.  Exponential in species and reaction counts, hence the size
-    limit.
+    exact LP.  Exponential in species and reaction counts: when the
+    3^(s + r) pairs of sign patterns exceed ``embedding.WORK_LIMIT`` the
+    route raises ``LimitExceeded`` before any LP.
     """
     s, r = net.num_species, net.num_reactions
-    if s > limit or r > limit:
+    if 3 ** (s + r) > embedding.WORK_LIMIT:
         raise LimitExceeded(
-            f"sign vector enumeration limited to {limit} species and reactions"
+            f"{3 ** (s + r)} sign pattern pairs exceed the work bound {embedding.WORK_LIMIT}"
         )
     data = stoich(net)
     gamma_rows = [list(row) for row in data.stoich_matrix]  # s x r

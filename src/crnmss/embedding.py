@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -203,7 +204,8 @@ def orientation(sen: SquareEmbeddedNetwork) -> int:
 
 # Work bound of one square embedded network scan: species subsets plus
 # reaction combinations formed.  The largest benchmark scan, fully open
-# K(2,10), needs 1,024.
+# K(2,10), needs 1,024.  The sign-vector injectivity route bounds its
+# pairs of sign patterns by the same constant.
 WORK_LIMIT = 1_000_000
 
 
@@ -229,19 +231,22 @@ def enumerate_sens(
 
     One unit of work is a species subset or a reaction combination
     formed, duplicates included; past ``WORK_LIMIT`` units the scan raises
-    ``LimitExceeded``.
+    ``LimitExceeded``.  The merge starts every stream before the first SEN
+    comes out, so a scan with more than ``WORK_LIMIT`` species subsets
+    is refused before any stream is built.
     """
     if k < 1 or k > min(net.num_reactions, net.num_species):
         return
+    refusal = f"square embedded network scan exceeds the work bound {WORK_LIMIT}"
+    if math.comb(net.num_species, k) > WORK_LIMIT:
+        raise LimitExceeded(refusal)
     work = 0
 
     def spend() -> None:
         nonlocal work
         work += 1
         if work > WORK_LIMIT:
-            raise LimitExceeded(
-                f"square embedded network scan exceeds the work bound {WORK_LIMIT}"
-            )
+            raise LimitExceeded(refusal)
 
     def stream(sp_subset: tuple[int, ...]):
         spend()

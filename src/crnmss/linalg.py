@@ -12,40 +12,16 @@ from fractions import Fraction
 from typing import Sequence
 
 
-def det_int(matrix: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [list(row) for row in matrix]
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix is not square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def _eliminate(matrix: Sequence[Sequence[int]]) -> tuple[int, int, int]:
+    """Fraction-free (Bareiss) elimination of a copy of ``matrix``.
 
-
-def rank_int(matrix: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix, fraction-free elimination."""
-    if not matrix or not matrix[0]:
-        return 0
+    Returns (rank, sign of the row swaps, last pivot).  For a square
+    matrix of full rank the signed last pivot is the determinant.
+    """
     m = [list(row) for row in matrix]
-    rows, cols = len(m), len(m[0])
+    rows, cols = len(m), len(m[0]) if m else 0
     rank = 0
+    sign = 1
     prev = 1
     for col in range(cols):
         pivot = None
@@ -55,7 +31,9 @@ def rank_int(matrix: Sequence[Sequence[int]]) -> int:
                 break
         if pivot is None:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            sign = -sign
         for i in range(rank + 1, rows):
             for j in range(col + 1, cols):
                 m[i][j] = (m[i][j] * m[rank][col] - m[i][col] * m[rank][j]) // prev
@@ -64,7 +42,21 @@ def rank_int(matrix: Sequence[Sequence[int]]) -> int:
         rank += 1
         if rank == rows:
             break
-    return rank
+    return rank, sign, prev
+
+
+def det_int(matrix: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix is not square")
+    rank, sign, pivot = _eliminate(matrix)
+    return sign * pivot if rank == n else 0
+
+
+def rank_int(matrix: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix, fraction-free elimination."""
+    return _eliminate(matrix)[0]
 
 
 def rank_frac(matrix: Sequence[Sequence[Fraction | int]]) -> int:

@@ -66,6 +66,19 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["", "# nothing\n\n"])
+@pytest.mark.parametrize(
+    "argv",
+    [["info", "-"], ["check", "-", "--no-numeric"], ["atoms", "-"], ["witness", "-", "--search"]],
+)
+def test_empty_input_exits_2(capsys, monkeypatch, argv, text):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the input holds no reaction\n"
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     assert main(["info", str(tmp_path / "absent.txt")]) == 2
     assert "error:" in capsys.readouterr().err
@@ -254,7 +267,7 @@ def test_check_negative_budget_exits_2(capsys, monkeypatch):
     [
         # CFSTR: the square embedded network scan
         render_network(fully_open_extension(generate(FamilySpec("K", 2, 3)))),
-        # not a CFSTR: the minors scan, C(2,2) * C(4,2) = 6 index pairs
+        # not a CFSTR: the minors scan, 1 species subset and C(4,2) = 6 reaction pairs
         "A + B -> 2 A\nA -> B\nB -> 0\n0 -> A",
     ],
 )

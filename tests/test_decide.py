@@ -113,8 +113,8 @@ def test_injectivity_minors_degenerate():
 
 
 def test_injectivity_signvectors_basic():
-    assert injectivity_signvectors(k_tilde(1, 2), limit=6).injective
-    rep = injectivity_signvectors(load_atom(6), limit=6)
+    assert injectivity_signvectors(k_tilde(1, 2)).injective
+    rep = injectivity_signvectors(load_atom(6))
     assert rep.status == "not-injective"
     # the constant-map degenerate case: zero common sign vector
     rep = injectivity_signvectors(parse_network("0 -> A"))
@@ -122,11 +122,14 @@ def test_injectivity_signvectors_basic():
     assert rep.common_sign_vector == (0,)
 
 
-def test_injectivity_signvectors_size_limit():
+def test_injectivity_signvectors_size_limit(monkeypatch):
+    # 6 species and 1 reaction: 3^7 = 2,187 pairs of sign patterns
     net = parse_network("A + B + C + D + E + F -> 0")
-    with pytest.raises(LimitExceeded):
+    monkeypatch.setattr("crnmss.embedding.WORK_LIMIT", 2186)
+    with pytest.raises(LimitExceeded, match="2187 sign pattern pairs exceed the work bound 2186$"):
         injectivity_signvectors(net)
-    injectivity_signvectors(net, limit=6)
+    monkeypatch.setattr("crnmss.embedding.WORK_LIMIT", 2187)
+    assert injectivity_signvectors(net).injective
 
 
 def test_injectivity_routes_agree_on_random_networks():

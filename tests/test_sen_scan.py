@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crnmss.decide import _sen_description, cfstr_injectivity
+from crnmss.decide import _sen_description, cfstr_injectivity, injectivity_minors
 from crnmss.embedding import (
     LimitExceeded,
     enumerate_sens,
@@ -20,6 +20,9 @@ from crnmss.embedding import (
     sen_is_relevant,
 )
 from crnmss.families import FamilySpec, generate
+from crnmss.linalg import det_int, submatrix
+from crnmss.network import parse_network
+from crnmss.structure import stoich
 from helpers import random_cfstr, random_network
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -129,3 +132,53 @@ def test_scan_order_pinned_where_reaction_and_species_major_disagree():
     net = random_cfstr(random.Random(24), max_species=4, max_nonflow=5, max_coeff=2)
     sen = cfstr_injectivity(net).negative_sen
     assert (sen.reaction_indices, sen.species_indices) == ((3,), (3,))
+
+
+def reference_minors(net):
+    """The index-pair minors scan: (status, sign) of a species-major walk
+    over every rank-size (species, reactions) pair of index subsets."""
+    data = stoich(net)
+    k = data.rank
+    first = None
+    for species_subset in itertools.combinations(range(net.num_species), k):
+        for rxn_subset in itertools.combinations(range(net.num_reactions), k):
+            d1 = det_int(submatrix(data.stoich_matrix, species_subset, rxn_subset))
+            d2 = det_int(submatrix(data.reactant_matrix, rxn_subset, species_subset))
+            value = d1 * d2
+            if value == 0:
+                continue
+            if first is None:
+                first = value
+            elif (value > 0) != (first > 0):
+                return "not-injective", None
+    if first is None:
+        return "degenerate", None
+    return "injective", 1 if first > 0 else -1
+
+
+@property_settings
+@given(seeds)
+def test_minors_on_the_sen_stream_match_the_index_pair_scan(seed):
+    base = random_network(random.Random(seed), max_species=4, max_reactions=5, max_coeff=2)
+    for net in (base, fully_open_extension(base)):
+        report = injectivity_minors(net)
+        assert (report.status, report.sign) == reference_minors(net)
+        if report.status == "not-injective":
+            data = stoich(net)
+            for species, reactions, value in report.conflict:
+                d1 = det_int(submatrix(data.stoich_matrix, species, reactions))
+                d2 = det_int(submatrix(data.reactant_matrix, reactions, species))
+                assert value == d1 * d2
+            (_, _, v1), (_, _, v2) = report.conflict
+            assert v1 * v2 < 0
+
+
+def test_scan_with_too_many_species_subsets_is_refused_before_any_restriction(monkeypatch):
+    # a cycle of 16 species, k = 8: C(16, 8) = 12,870 species subsets
+    net = parse_network("\n".join(f"X{i} -> X{i % 16 + 1}" for i in range(1, 17)))
+    calls = []
+    monkeypatch.setattr("crnmss.embedding.restrict_each", lambda *a: calls.append(a))
+    monkeypatch.setattr("crnmss.embedding.WORK_LIMIT", 1000)
+    with pytest.raises(LimitExceeded, match="work bound 1000$"):
+        next(enumerate_sens(net, 8))
+    assert calls == []
