@@ -34,8 +34,8 @@ from .structure import (
     DeficiencyReport,
     StoichData,
     deficiency,
-    is_weakly_reversible,
     stoich,
+    terminal_strong_linkage_classes,
 )
 
 MULTISTATIONARY = "MULTISTATIONARY"
@@ -100,10 +100,11 @@ class NetworkFacts:
 
 def network_facts(net: ReactionNetwork) -> NetworkFacts:
     data = stoich(net)
+    classes = terminal_strong_linkage_classes(net)
     return NetworkFacts(
         data,
-        deficiency(net, data),
-        is_weakly_reversible(net),
+        deficiency(net, data, classes),
+        len(classes["strong"]) == len(classes["linkage"]),
         is_cfstr(net),
         is_fully_open(net),
     )
@@ -366,7 +367,8 @@ def cfstr_injectivity(net: ReactionNetwork) -> InjectivityReport:
 def positive_dependence(net: ReactionNetwork, data: StoichData | None = None) -> LPResult:
     """Is there alpha > 0 with Gamma alpha = 0?  (Normalized to alpha >= 1.)
 
-    ``data`` is ``stoich(net)`` when the caller has it already.
+    This is the LP route, which ``analyze`` calls only when structure is
+    silent.  ``data`` is ``stoich(net)`` when the caller has it already.
     """
     if data is None:
         data = stoich(net)
@@ -650,7 +652,21 @@ class AnalysisResult:
 
 
 def _positive_dependence_stage(net, facts, opts):
-    if positive_dependence(net, facts.stoich).feasible:
+    # Structure decides most networks without the LP.  Fully open: alpha = 1
+    # on every other reaction leaves a net change d, and outflow_i =
+    # 1 + max(0, d_i), inflow_i = outflow_i - d_i cancel it.  Weakly
+    # reversible: the cycles through every reaction sum to a dependence.
+    # A nonzero one-signed row i of Gamma gives (Gamma alpha)_i != 0 for
+    # every alpha > 0; a zero row (a species that is only a catalyst) does not.
+    if facts.fully_open or facts.weakly_reversible:
+        holds = True
+    elif any(
+        any(row) and (min(row) >= 0 or max(row) <= 0) for row in facts.stoich.stoich_matrix
+    ):
+        holds = False
+    else:
+        holds = positive_dependence(net, facts.stoich).feasible
+    if holds:
         return "positive dependence holds"
     return Verdict(
         NO_POSITIVE_STEADY_STATES,

@@ -122,21 +122,25 @@ class DeficiencyReport:
     reason: str | None = None
 
 
-def deficiency(net: ReactionNetwork, data: StoichData | None = None) -> DeficiencyReport:
+def deficiency(
+    net: ReactionNetwork, data: StoichData | None = None, classes: dict | None = None
+) -> DeficiencyReport:
     """Deficiency p - l - rank(Gamma), plus per linkage class values.
 
     When some linkage class holds more than one terminal strong linkage
     class the formula is not the dimension-gap it is meant to measure, so
     the report comes back with applicable=False and no numbers.  ``data``
-    is ``stoich(net)`` when the caller has it already.
+    is ``stoich(net)`` and ``classes`` is
+    ``terminal_strong_linkage_classes(net)`` when the caller has them already.
     """
     if data is None:
         data = stoich(net)
-    info = terminal_strong_linkage_classes(net)
-    lclasses = info["linkage"]
+    if classes is None:
+        classes = terminal_strong_linkage_classes(net)
+    lclasses = classes["linkage"]
     p = len(net.complexes())
     l = len(lclasses)
-    if not info["unique_per_class"]:
+    if not classes["unique_per_class"]:
         return DeficiencyReport(
             applicable=False,
             total=None,

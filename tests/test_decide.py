@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crnmss.decide import (
     INCONCLUSIVE,
@@ -14,6 +16,7 @@ from crnmss.decide import (
     AnalyzeOptions,
     LimitExceeded,
     Verdict,
+    _positive_dependence_stage,
     analyze,
     atom_db_matches,
     atom_db_search,
@@ -32,10 +35,13 @@ from crnmss.decide import (
 )
 from crnmss.cli import main
 from crnmss.embedding import find_embedding, fully_open_extension, is_cfstr, is_fully_open
-from crnmss.families import FamilySpec, generate, load_atom
-from crnmss.network import parse_network, render_network
-from crnmss.structure import deficiency, is_weakly_reversible
+from crnmss.families import FamilySpec, generate, load_atom, load_atoms
+from crnmss.network import Complex, Reaction, ReactionNetwork, parse_network, render_network
+from crnmss.structure import deficiency, is_weakly_reversible, stoich
 from helpers import random_cfstr, random_network
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+property_settings = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
 def k_tilde(m, n):
@@ -165,6 +171,98 @@ def test_positive_dependence():
     assert all(a >= 1 for a in res.witness)
     assert res.witness[0] == res.witness[1]
     assert positive_dependence(k_tilde(2, 3)).feasible
+
+
+HOLDS = "positive dependence holds"
+
+
+def dependence_stage(net):
+    return _positive_dependence_stage(net, network_facts(net), AnalyzeOptions())
+
+
+def reversible_closure(net):
+    reactions = list(net.reactions)
+    for rxn in net.reactions:
+        reverse = Reaction(rxn.product, rxn.reactant)
+        if reverse not in reactions:
+            reactions.append(reverse)
+    return ReactionNetwork(net.species, tuple(reactions))
+
+
+def fully_open_dependence(net):
+    """alpha = 1 on every reaction but the unit flows, whose rates then
+    cancel the net change d: outflow 1 + max(0, d_i), inflow outflow - d_i."""
+    zero = Complex(())
+    unit_flows = {}
+    for i in range(net.num_species):
+        mono = Complex.of({i: 1})
+        unit_flows[Reaction(mono, zero)] = (i, False)
+        unit_flows[Reaction(zero, mono)] = (i, True)
+    gamma = stoich(net).stoich_matrix
+    others = [j for j, rxn in enumerate(net.reactions) if rxn not in unit_flows]
+    d = [sum(row[j] for j in others) for row in gamma]
+    alpha = []
+    for rxn in net.reactions:
+        if rxn not in unit_flows:
+            alpha.append(1)
+            continue
+        i, inflow = unit_flows[rxn]
+        outflow = 1 + max(0, d[i])
+        alpha.append(outflow - d[i] if inflow else outflow)
+    return alpha, gamma
+
+
+@property_settings
+@given(seeds)
+def test_positive_dependence_stage_agrees_with_the_lp(seed):
+    net = random_network(random.Random(seed))
+    opened = fully_open_extension(net)
+    for source in (net, opened, reversible_closure(net)):
+        outcome = dependence_stage(source)
+        if positive_dependence(source).feasible:
+            assert outcome == HOLDS
+        else:
+            assert outcome.status == NO_POSITIVE_STEADY_STATES
+            assert outcome.certificate == {"kind": "positive-dependence-failure"}
+    alpha, gamma = fully_open_dependence(opened)
+    assert min(alpha) >= 1
+    assert all(sum(g * a for g, a in zip(row, alpha)) == 0 for row in gamma)
+
+
+def test_positive_dependence_stage_reads_only_nonzero_rows():
+    # A is only a catalyst: its zero row rules nothing out
+    catalyst = parse_network("A + B -> A + C\nC -> B")
+    assert not any(stoich(catalyst).stoich_matrix[0])
+    assert positive_dependence(catalyst).feasible
+    assert dependence_stage(catalyst) == HOLDS
+    # one-signed rows, also in a CFSTR network that is not fully open
+    for text in ("A -> B", "A -> 0"):
+        assert not positive_dependence(parse_network(text)).feasible
+        outcome = dependence_stage(parse_network(text))
+        assert outcome.certificate == {"kind": "positive-dependence-failure"}
+    facts = facts_of("A -> 0")
+    assert facts.cfstr and not facts.fully_open
+
+
+def test_structure_decides_positive_dependence_without_the_lp(monkeypatch, tmp_path, capsys):
+    import crnmss.decide
+
+    def refuse(*args):
+        raise AssertionError("the positive-dependence LP ran")
+
+    monkeypatch.setattr(crnmss.decide, "positive_dependence", refuse)
+    cycle = parse_network("A + B <-> C\nC -> D\nD -> A + B")
+    facts = network_facts(cycle)
+    assert facts.weakly_reversible and not facts.fully_open
+    for net in [k_tilde(2, 3), cycle] + [atom for _, atom in load_atoms()]:
+        assert analyze(net).verdict.status != INCONCLUSIVE
+    # one nonpositive row, and no nonnegative one
+    assert analyze(parse_network("A -> 0")).verdict.status == NO_POSITIVE_STEADY_STATES
+    path = tmp_path / "net.txt"
+    path.write_text("A -> B\n")
+    assert main(["check", str(path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"]["certificate"] == {"kind": "positive-dependence-failure"}
 
 
 def test_subnetwork_lift_obstruction():
