@@ -391,19 +391,6 @@ def verify_embedding(
     return True
 
 
-def _reaction_compatible(
-    rxn_p: Reaction, rxn_h: Reaction, image: Sequence[int], upto: int
-) -> bool:
-    # pattern species < upto are assigned; their coefficients must agree exactly
-    for q in range(upto):
-        h = image[q]
-        if rxn_p.reactant.coeff(q) != rxn_h.reactant.coeff(h):
-            return False
-        if rxn_p.product.coeff(q) != rxn_h.product.coeff(h):
-            return False
-    return True
-
-
 def find_embedding(pattern: ReactionNetwork, host: ReactionNetwork) -> EmbeddingWitness | None:
     """Search for an embedding of ``pattern`` into ``host``.
 
@@ -415,42 +402,37 @@ def find_embedding(pattern: ReactionNetwork, host: ReactionNetwork) -> Embedding
     ps, hs = pattern.num_species, host.num_species
     if ps > hs or pattern.num_reactions > host.num_reactions:
         return None
-    if pattern.max_coefficient() > host.max_coefficient():
-        return None
 
-    image = [-1] * ps
-    used = [False] * hs
+    def columns(net: ReactionNetwork) -> list[list[tuple[int, int]]]:
+        # per species, its (reactant, product) coefficients in each reaction
+        return [
+            [(rxn.reactant.coeff(i), rxn.product.coeff(i)) for rxn in net.reactions]
+            for i in range(net.num_species)
+        ]
 
-    def feasible(upto: int) -> bool:
-        for rxn_p in pattern.reactions:
-            if not any(
-                _reaction_compatible(rxn_p, rxn_h, image, upto) for rxn_h in host.reactions
-            ):
-                return False
-        return True
+    host_col, pattern_col = columns(host), columns(pattern)
 
-    def assign(q: int) -> bool:
+    def extend(image: tuple[int, ...], agree: list[list[int]]) -> EmbeddingWitness | None:
+        # agree[p]: the host reactions, ascending, that match pattern
+        # reaction p on every pattern species assigned so far
+        q = len(image)
         if q == ps:
-            return True
+            return EmbeddingWitness(image, tuple(js[0] for js in agree))
         for h in range(hs):
-            if used[h]:
+            if h in image:
                 continue
-            image[q] = h
-            used[h] = True
-            if feasible(q + 1) and assign(q + 1):
-                return True
-            used[h] = False
-            image[q] = -1
-        return False
-
-    if not assign(0):
+            narrowed = []
+            for js, want in zip(agree, pattern_col[q]):
+                kept = [j for j in js if host_col[h][j] == want]
+                if not kept:
+                    break
+                narrowed.append(kept)
+            else:
+                found = extend(image + (h,), narrowed)
+                if found is not None:
+                    return found
         return None
-    reaction_map = []
-    for rxn_p in pattern.reactions:
-        for j, rxn_h in enumerate(host.reactions):
-            if _reaction_compatible(rxn_p, rxn_h, image, ps):
-                reaction_map.append(j)
-                break
-    witness = EmbeddingWitness(tuple(image), tuple(reaction_map))
-    assert verify_embedding(pattern, host, witness)
+
+    witness = extend((), [list(range(host.num_reactions))] * pattern.num_reactions)
+    assert witness is None or verify_embedding(pattern, host, witness)
     return witness

@@ -13,7 +13,9 @@ Text format, one reaction per line::
 
 ``0`` denotes the empty complex.  Species are created in order of first
 appearance.  ``render_network`` emits a canonical form that parses back
-to an equal network.
+to the same reactions by species name, and to an equal network when
+species are numbered in order of first appearance, as ``parse_network``
+numbers them.
 """
 
 from __future__ import annotations

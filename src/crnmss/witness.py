@@ -171,11 +171,17 @@ def witness_search(
     if not is_fully_open(net):
         raise ValueError("witness search requires a fully open network")
     rates = tuple(Fraction(k) for k in kappa)
+    rate_floats = []
+    for i, k in enumerate(rates, start=1):
+        try:
+            rate_floats.append(float(k))
+        except OverflowError:
+            raise ValueError(f"rate constant {i} does not fit a float") from None
     system = mass_action_system(net, rates)
     data = stoich(net)
     exponents = np.array(data.reactant_matrix, dtype=float)
     gamma = np.array(data.stoich_matrix, dtype=float)
-    rate_arr = np.array([float(k) for k in rates])
+    rate_arr = np.array(rate_floats)
     if starts is None:
         starts = _default_starts(net.num_species, seed)
     found = _newton_all_starts(starts, exponents, gamma, rate_arr)

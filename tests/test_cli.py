@@ -228,6 +228,11 @@ def test_witness_kappa_validation(tmp_path, capsys):
     assert "expected 3 rate constants" in capsys.readouterr().err
     assert main(["witness", path, "--kappa", "1", "abc", "1"]) == 2
     assert main(["witness", path, "--kappa", "1", "0", "1"]) == 2
+    capsys.readouterr()
+    assert main(["witness", path, "--kappa", "1", "1", "1e400"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: rate constant 3 does not fit a float" in captured.err
 
 
 def test_witness_search_finds_states(tmp_path, capsys):

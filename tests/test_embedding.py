@@ -1,8 +1,11 @@
 """Tests for embedded networks, open extensions, and square subnetworks."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crnmss.embedding import (
     EmbeddingWitness,
@@ -221,3 +224,34 @@ def test_find_embedding_recovers_random_embeddings():
         assert verify_embedding(pattern, host, w)
         hits += 1
     assert hits > 30
+
+
+def reference_embedding(pattern, host):
+    """The embedding by definition: the first injective species map, in
+    lexicographic order, under which every pattern reaction is the
+    restriction of a host reaction, each realized by its first occurrence."""
+    for image in itertools.permutations(range(host.num_species), pattern.num_species):
+        back = {h: q for q, h in enumerate(image)}
+        restricted = [restrict_reaction(r, image) for r in host.reactions]
+        renamed = [
+            None if r is None else Reaction(r.reactant.rename(back), r.product.rename(back))
+            for r in restricted
+        ]
+        if all(r in renamed for r in pattern.reactions):
+            return EmbeddingWitness(image, tuple(renamed.index(r) for r in pattern.reactions))
+    return None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_find_embedding_matches_its_definition(seed):
+    rng = random.Random(seed)
+    net = random_network(rng, max_species=5, max_reactions=5, max_coeff=2)
+    for host in (net, fully_open_extension(net)):
+        spec = RemovalSpec.of(
+            reactions=[i for i in range(host.num_reactions) if rng.random() < 0.5],
+            species=[i for i in range(host.num_species) if rng.random() < 0.4],
+        )
+        unrelated = random_network(rng, max_species=3, max_reactions=3, max_coeff=2)
+        for pattern in (embedded_network(host, spec), unrelated):
+            assert find_embedding(pattern, host) == reference_embedding(pattern, host)

@@ -1,7 +1,13 @@
 """Tests for the network model and the text format."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from crnmss.embedding import RemovalSpec, embedded_network
+from crnmss.families import FamilySpec, generate
 from crnmss.network import (
     Complex,
     ParseError,
@@ -13,6 +19,7 @@ from crnmss.network import (
     render_complex,
     render_network,
 )
+from helpers import random_network
 
 
 def test_complex_of_merges_and_drops_zeros():
@@ -137,6 +144,46 @@ def test_render_roundtrip():
     again = parse_network(render_network(net))
     assert again.species_names() == net.species_names()
     assert again.reactions == net.reactions
+    # K(2,3) renders X3 before X2, so parsing numbers them the other way
+    k23 = generate(FamilySpec("K", 2, 3))
+    again = parse_network(render_network(k23))
+    assert again != k23
+    assert again.species_names() == ("X1", "X3", "X2")
+
+
+def reactions_by_name(net):
+    """Each reaction as (reactant, product), a complex as sorted (name, coefficient) pairs."""
+    names = net.species_names()
+    return [
+        tuple(tuple(sorted((names[i], c) for i, c in cpx)) for cpx in rxn.complexes())
+        for rxn in net.reactions
+    ]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_render_then_parse_round_trip(seed):
+    rng = random.Random(seed)
+    net = random_network(rng, max_species=5, max_reactions=5, max_coeff=3)
+    # renumber the species so that index order is not first-appearance order
+    order = list(range(net.num_species))
+    rng.shuffle(order)
+    renumber = {old: new for new, old in enumerate(order)}
+    shuffled = make_network(
+        [net.species[i].name for i in order],
+        [Reaction(r.reactant.rename(renumber), r.product.rename(renumber)) for r in net.reactions],
+    )
+    spec = RemovalSpec.of(
+        reactions=[i for i in range(net.num_reactions) if rng.random() < 0.3],
+        species=[i for i in range(net.num_species) if rng.random() < 0.3],
+    )
+    sequestration = generate(FamilySpec("K", rng.randint(1, 3), rng.randint(2, 6)))
+    for case in (net, shuffled, embedded_network(net, spec), sequestration):
+        parsed = parse_network(render_network(case))
+        assert reactions_by_name(parsed) == reactions_by_name(case)
+        again = parse_network(render_network(parsed))
+        assert again.species == parsed.species
+        assert again.reactions == parsed.reactions
 
 
 def test_render_complex():
