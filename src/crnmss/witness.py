@@ -1,9 +1,12 @@
 """Floating-point steady-state search for fully open networks.
 
-Multistart damped Newton on the mass-action right-hand side.  Every
-returned state is re-validated exactly: the coordinates are rationalized
-(floats convert to rationals without loss) and the residual and Jacobian
-rank are recomputed in exact arithmetic.
+Multistart damped Newton on the mass-action right-hand side.  Each step
+is capped at 0.99 of the distance to the boundary of the positive
+orthant; of the damped steps t, t/2, ..., t/2^40 the first whose iterate
+stays positive and strictly lowers the residual infinity norm is taken.
+Every returned state is re-validated exactly: the coordinates are
+rationalized (floats convert to rationals without loss) and the residual
+and Jacobian rank are recomputed in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -30,6 +33,9 @@ GRID_POINTS = (1e-2, 1e-1, 1.0, 10.0, 1e2)
 MAX_GRID_STARTS = 3125
 MAX_DAMPING_HALVINGS = 40
 MAX_NEWTON_ITERATIONS = 100
+# t * HALVINGS[j] equals t halved j times, bit for bit, while the product
+# is a normal float (halving a normal float is exact)
+HALVINGS = 2.0 ** -np.arange(MAX_DAMPING_HALVINGS + 1)
 
 
 @dataclass(frozen=True)
@@ -79,6 +85,17 @@ def _solve_batch(jacs, rhs):
         return out, ok
 
 
+def _damping_blocks(levels: int):
+    """Index ranges of doubling size (1, 2, 4, ...) covering range(levels)."""
+    lo, size = 0, 1
+    while lo < levels:
+        yield lo, min(lo + size, levels)
+        lo, size = lo + size, 2 * size
+
+
+# the step caps divide by steps that np.where then discards, and a trial
+# that overflows is never better: neither warning carries news
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _newton_all_starts(starts, exponents, gamma, rates):
     x = np.array(starts, dtype=float)
     n = len(x)
@@ -107,26 +124,28 @@ def _newton_all_starts(starts, exponents, gamma, rates):
         )
         if work.size == 0:
             continue
-        # cap the step so iterates stay strictly positive, then damp by
-        # halving until the residual strictly decreases
-        with np.errstate(divide="ignore", invalid="ignore"):
-            caps = np.where(steps < 0, -xw / steps, np.inf)
+        # cap the step so iterates stay strictly positive, then take the
+        # first of t, t/2, ..., t/2^MAX_DAMPING_HALVINGS that strictly
+        # lowers the residual; the levels are tried in blocks of doubling
+        # size, one batched evaluation per block
+        caps = np.where(steps < 0, -xw / steps, np.inf)
         t = np.minimum(1.0, 0.99 * caps.min(axis=1))
-        accepted = np.zeros(len(work), dtype=bool)
-        for _halving in range(MAX_DAMPING_HALVINGS + 1):
-            pending = np.where(~accepted)[0]
+        pending = np.arange(len(work))
+        for lo, hi in _damping_blocks(MAX_DAMPING_HALVINGS + 1):
             if pending.size == 0:
                 break
-            trial = xw[pending] + t[pending, None] * steps[pending]
-            positive = (trial > 0).all(axis=1)
-            trial_safe = np.clip(trial, 1e-300, None)
+            levels = t[pending, None] * HALVINGS[lo:hi]
+            trial = xw[pending, None] + levels[:, :, None] * steps[pending, None]
+            positive = (trial > 0).all(axis=2)
+            trial_safe = np.clip(trial, 1e-300, None).reshape(-1, xw.shape[1])
             f_try, _ = _rhs_batch(trial_safe, exponents, gamma, rates)
-            better = positive & (np.max(np.abs(f_try), axis=1) < resw[pending])
-            good = pending[better]
-            x[work[good]] = trial[better]
-            accepted[good] = True
-            t[pending[~better]] /= 2
-        alive[work[~accepted]] = False
+            res_try = np.max(np.abs(f_try), axis=1).reshape(levels.shape)
+            better = positive & (res_try < resw[pending, None])
+            hit = better.any(axis=1)
+            first = better[hit].argmax(axis=1)
+            x[work[pending[hit]]] = trial[hit, first]
+            pending = pending[~hit]
+        alive[work[pending]] = False
     return [tuple(float(v) for v in x[i]) for i in np.where(converged)[0]]
 
 
@@ -163,10 +182,15 @@ def witness_search(
     """Find positive steady states of the mass-action system.
 
     Runs damped Newton from a log-spaced positive grid (random starts
-    above five species), keeps converged points with residual infinity
-    norm below ``RESIDUAL_TOL``, deduplicates at relative distance
-    ``DEDUP_TOL``, and validates each survivor exactly: rationalized
-    residual below 1e-8 and exact Jacobian rank for nondegeneracy.
+    above five species). Each Newton step is capped at 0.99 of the
+    distance to the boundary of the positive orthant, and the first of
+    t, t/2, ..., t/2^40 whose iterate stays positive and strictly lowers
+    the residual infinity norm is taken; a start with no such step is
+    dropped. Keeps converged points with residual infinity norm below
+    ``RESIDUAL_TOL``, deduplicates at relative distance ``DEDUP_TOL``,
+    and validates each survivor exactly: rationalized residual below
+    1e-8 and exact Jacobian rank for nondegeneracy. A rate that does not
+    fit a positive float is an error.
     """
     if not is_fully_open(net):
         raise ValueError("witness search requires a fully open network")
@@ -174,9 +198,12 @@ def witness_search(
     rate_floats = []
     for i, k in enumerate(rates, start=1):
         try:
-            rate_floats.append(float(k))
+            value = float(k)
         except OverflowError:
-            raise ValueError(f"rate constant {i} does not fit a float") from None
+            value = None
+        if value is None or (k > 0 and value == 0.0):
+            raise ValueError(f"rate constant {i} does not fit a float")
+        rate_floats.append(value)
     system = mass_action_system(net, rates)
     data = stoich(net)
     exponents = np.array(data.reactant_matrix, dtype=float)

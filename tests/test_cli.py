@@ -3,6 +3,7 @@
 import io
 import json
 import sys
+import warnings
 from importlib import resources
 
 import jsonschema
@@ -233,6 +234,18 @@ def test_witness_kappa_validation(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: rate constant 3 does not fit a float" in captured.err
+    assert main(["witness", path, "--kappa", "1", "1", "1e-400"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: rate constant 3 does not fit a float" in captured.err
+
+
+def test_witness_overflowing_trials_stay_silent(tmp_path, capsys):
+    path = write_net(tmp_path, "0 <-> A\n200 A -> 201 A")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["witness", path, "--kappa", "1", "1", "1"]) == 0
+    assert "states: 0" in capsys.readouterr().out
 
 
 def test_witness_search_finds_states(tmp_path, capsys):

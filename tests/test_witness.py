@@ -3,13 +3,19 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from crnmss import witness
 from crnmss.embedding import fully_open_extension
 from crnmss.families import FamilySpec, generate
 from crnmss.network import parse_network
+from crnmss.structure import stoich
 from crnmss.unipoly import family_polynomial, positive_root_count
 from crnmss.witness import rate_search, witness_search
+from helpers import random_network
 
 GOLD_SMALL = 0.3819660112501051  # (3 - sqrt 5) / 2
 GOLD_LARGE = 2.618033988749895  # (3 + sqrt 5) / 2
@@ -127,3 +133,81 @@ def test_rate_search_finds_bistable_rates():
 def test_rate_search_exhausts_budget_on_monostable_network():
     net = fully_open_extension(parse_network("A <-> B"))
     assert rate_search(net, budget=40, seed=1) is None
+
+
+def test_rate_below_the_smallest_float_is_rejected():
+    net = parse_network("0 <-> A\n2 A -> 3 A")
+    with pytest.raises(ValueError, match="rate constant 3 does not fit a float"):
+        witness_search(net, [1, 1, Fraction(1, 10**400)])
+    with pytest.raises(ValueError, match="rate constants must be positive"):
+        witness_search(net, [1, 1, 0])
+    with pytest.raises(ValueError, match="rate constants must be positive"):
+        witness_search(net, [1, 1, -Fraction(1, 10**400)])
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def sequential_halving_newton(starts, exponents, gamma, rates):
+    """The damping loop that tries one halving of t at a time."""
+    x = np.array(starts, dtype=float)
+    n = len(x)
+    alive = np.ones(n, dtype=bool)
+    converged = np.zeros(n, dtype=bool)
+    for _ in range(witness.MAX_NEWTON_ITERATIONS):
+        active = np.where(alive & ~converged)[0]
+        if active.size == 0:
+            break
+        f_act, mon_act = witness._rhs_batch(x[active], exponents, gamma, rates)
+        res_act = np.max(np.abs(f_act), axis=1)
+        done = res_act < witness.RESIDUAL_TOL
+        converged[active[done]] = True
+        work = active[~done]
+        if work.size == 0:
+            continue
+        xw, fw, resw = x[work], f_act[~done], res_act[~done]
+        jacs = witness._jac_batch(xw, mon_act[~done], exponents, gamma)
+        steps, solvable = witness._solve_batch(jacs, -fw)
+        alive[work[~solvable]] = False
+        work, xw, steps, resw = (
+            work[solvable],
+            xw[solvable],
+            steps[solvable],
+            resw[solvable],
+        )
+        if work.size == 0:
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            caps = np.where(steps < 0, -xw / steps, np.inf)
+        t = np.minimum(1.0, 0.99 * caps.min(axis=1))
+        accepted = np.zeros(len(work), dtype=bool)
+        for _halving in range(witness.MAX_DAMPING_HALVINGS + 1):
+            pending = np.where(~accepted)[0]
+            if pending.size == 0:
+                break
+            trial = xw[pending] + t[pending, None] * steps[pending]
+            positive = (trial > 0).all(axis=1)
+            trial_safe = np.clip(trial, 1e-300, None)
+            f_try, _ = witness._rhs_batch(trial_safe, exponents, gamma, rates)
+            better = positive & (np.max(np.abs(f_try), axis=1) < resw[pending])
+            good = pending[better]
+            x[work[good]] = trial[better]
+            accepted[good] = True
+            t[pending[~better]] /= 2
+        alive[work[~accepted]] = False
+    return [tuple(float(v) for v in x[i]) for i in np.where(converged)[0]]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_block_damping_matches_sequential_halving(seed):
+    rng = random.Random(seed)
+    net = fully_open_extension(random_network(rng, max_species=3, max_reactions=3))
+    data = stoich(net)
+    exponents = np.array(data.reactant_matrix, dtype=float)
+    gamma = np.array(data.stoich_matrix, dtype=float)
+    rates = np.array([10.0 ** rng.uniform(-3.0, 3.0) for _ in range(net.num_reactions)])
+    starts = [
+        tuple(10.0 ** rng.uniform(-2.0, 2.0) for _ in range(net.num_species))
+        for _ in range(12)
+    ]
+    expected = sequential_halving_newton(starts, exponents, gamma, rates)
+    assert witness._newton_all_starts(starts, exponents, gamma, rates) == expected
