@@ -189,8 +189,8 @@ def witness_search(
     dropped. Keeps converged points with residual infinity norm below
     ``RESIDUAL_TOL``, deduplicates at relative distance ``DEDUP_TOL``,
     and validates each survivor exactly: rationalized residual below
-    1e-8 and exact Jacobian rank for nondegeneracy. A rate that does not
-    fit a positive float is an error.
+    1e-8 and exact Jacobian rank for nondegeneracy. A rate too large for
+    a float, or a positive rate that rounds to 0.0, is an error.
     """
     if not is_fully_open(net):
         raise ValueError("witness search requires a fully open network")
