@@ -7,6 +7,12 @@ stays positive and strictly lowers the residual infinity norm is taken.
 Every returned state is re-validated exactly: the coordinates are
 rationalized (floats convert to rationals without loss) and the residual
 and Jacobian rank are recomputed in exact arithmetic.
+
+The rate search runs Newton on blocks of rate samples at once, each row
+of the batch with its own rates.  The float arithmetic is row-independent
+(``einsum`` products, elementwise maps and one LAPACK solve per matrix),
+so a start's Newton result does not depend on the rows that share its
+batch, and the search returns what one sample at a time would.
 """
 
 from __future__ import annotations
@@ -33,6 +39,11 @@ GRID_POINTS = (1e-2, 1e-1, 1.0, 10.0, 1e2)
 MAX_GRID_STARTS = 3125
 MAX_DAMPING_HALVINGS = 40
 MAX_NEWTON_ITERATIONS = 100
+# damping levels and rate samples are tried in blocks of doubling size up
+# to MAX_BLOCK; a block of rate samples also stays within about
+# MAX_BLOCK_ROWS Newton rows, but holds at least one sample
+MAX_BLOCK = 16
+MAX_BLOCK_ROWS = 1024
 # t * HALVINGS[j] equals t halved j times, bit for bit, while the product
 # is a normal float (halving a normal float is exact)
 HALVINGS = 2.0 ** -np.arange(MAX_DAMPING_HALVINGS + 1)
@@ -61,8 +72,11 @@ class SteadyStateWitness:
 
 
 def _rhs_batch(x, exponents, gamma, rates):
-    monomials = rates * np.exp(np.log(x) @ exponents.T)
-    return monomials @ gamma.T, monomials
+    """Right-hand side at each row of x; rates is one rate vector or one
+    per row.  ``einsum`` keeps each row's sums independent of the others
+    (a BLAS ``@`` may sum a row differently in a different batch)."""
+    monomials = rates * np.exp(np.einsum("ij,kj->ik", np.log(x), exponents))
+    return np.einsum("ij,kj->ik", monomials, gamma), monomials
 
 
 def _jac_batch(x, monomials, exponents, gamma):
@@ -71,41 +85,49 @@ def _jac_batch(x, monomials, exponents, gamma):
 
 
 def _solve_batch(jacs, rhs):
-    """Batched linear solve; singular systems are flagged, not fatal."""
-    ok = np.ones(len(jacs), dtype=bool)
+    """Batched linear solve; singular systems are flagged, not fatal.
+
+    A batch holding a singular matrix is split in halves until each
+    singular matrix stands alone, so every matrix still gets the same
+    LAPACK solve."""
     try:
-        return np.linalg.solve(jacs, rhs[:, :, None])[:, :, 0], ok
+        steps = np.linalg.solve(jacs, rhs[:, :, None])[:, :, 0]
+        return steps, np.ones(len(jacs), dtype=bool)
     except np.linalg.LinAlgError:
-        out = np.zeros_like(rhs)
-        for i in range(len(jacs)):
-            try:
-                out[i] = np.linalg.solve(jacs[i], rhs[i])
-            except np.linalg.LinAlgError:
-                ok[i] = False
-        return out, ok
+        if len(jacs) == 1:
+            return np.zeros_like(rhs), np.zeros(1, dtype=bool)
+        mid = len(jacs) // 2
+        low, low_ok = _solve_batch(jacs[:mid], rhs[:mid])
+        high, high_ok = _solve_batch(jacs[mid:], rhs[mid:])
+        return np.concatenate([low, high]), np.concatenate([low_ok, high_ok])
 
 
-def _damping_blocks(levels: int):
-    """Index ranges of doubling size (1, 2, 4, ...) covering range(levels)."""
+def _doubling_blocks(total: int, cap: int):
+    """Index ranges of doubling size (1, 2, 4, ...) covering range(total),
+    none longer than cap (a positive integer)."""
     lo, size = 0, 1
-    while lo < levels:
-        yield lo, min(lo + size, levels)
-        lo, size = lo + size, 2 * size
+    while lo < total:
+        hi = min(lo + size, total)
+        yield lo, hi
+        lo, size = hi, min(2 * size, cap)
 
 
 # the step caps divide by steps that np.where then discards, and a trial
 # that overflows is never better: neither warning carries news
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _newton_all_starts(starts, exponents, gamma, rates):
+    """Damped Newton from each start, with one rate vector for all starts
+    or one per start; the converged point of each start, or None."""
     x = np.array(starts, dtype=float)
     n = len(x)
+    rates = np.broadcast_to(rates, (n, len(exponents)))
     alive = np.ones(n, dtype=bool)
     converged = np.zeros(n, dtype=bool)
     for _ in range(MAX_NEWTON_ITERATIONS):
         active = np.where(alive & ~converged)[0]
         if active.size == 0:
             break
-        f_act, mon_act = _rhs_batch(x[active], exponents, gamma, rates)
+        f_act, mon_act = _rhs_batch(x[active], exponents, gamma, rates[active])
         res_act = np.max(np.abs(f_act), axis=1)
         done = res_act < RESIDUAL_TOL
         converged[active[done]] = True
@@ -124,6 +146,7 @@ def _newton_all_starts(starts, exponents, gamma, rates):
         )
         if work.size == 0:
             continue
+        rw = rates[work]
         # cap the step so iterates stay strictly positive, then take the
         # first of t, t/2, ..., t/2^MAX_DAMPING_HALVINGS that strictly
         # lowers the residual; the levels are tried in blocks of doubling
@@ -131,14 +154,15 @@ def _newton_all_starts(starts, exponents, gamma, rates):
         caps = np.where(steps < 0, -xw / steps, np.inf)
         t = np.minimum(1.0, 0.99 * caps.min(axis=1))
         pending = np.arange(len(work))
-        for lo, hi in _damping_blocks(MAX_DAMPING_HALVINGS + 1):
+        for lo, hi in _doubling_blocks(MAX_DAMPING_HALVINGS + 1, MAX_BLOCK):
             if pending.size == 0:
                 break
             levels = t[pending, None] * HALVINGS[lo:hi]
             trial = xw[pending, None] + levels[:, :, None] * steps[pending, None]
             positive = (trial > 0).all(axis=2)
             trial_safe = np.clip(trial, 1e-300, None).reshape(-1, xw.shape[1])
-            f_try, _ = _rhs_batch(trial_safe, exponents, gamma, rates)
+            trial_rates = np.repeat(rw[pending], hi - lo, axis=0)
+            f_try, _ = _rhs_batch(trial_safe, exponents, gamma, trial_rates)
             res_try = np.max(np.abs(f_try), axis=1).reshape(levels.shape)
             better = positive & (res_try < resw[pending, None])
             hit = better.any(axis=1)
@@ -146,7 +170,7 @@ def _newton_all_starts(starts, exponents, gamma, rates):
             x[work[pending[hit]]] = trial[hit, first]
             pending = pending[~hit]
         alive[work[pending]] = False
-    return [tuple(float(v) for v in x[i]) for i in np.where(converged)[0]]
+    return [tuple(float(v) for v in x[i]) if converged[i] else None for i in range(n)]
 
 
 def _relative_distance(a: Sequence[float], b: Sequence[float]) -> float:
@@ -216,7 +240,7 @@ def witness_search(
     residuals: list[float] = []
     nondeg: list[bool] = []
     stability: list[str] = []
-    for state in _dedup(found):
+    for state in _dedup(p for p in found if p is not None):
         exact_point = tuple(Fraction(v) for v in state)
         exact_res = system.rhs(exact_point)
         if max(abs(v) for v in exact_res) >= EXACT_RESIDUAL_TOL:
@@ -252,7 +276,14 @@ def rate_search(
     """Sample rate constants log-uniformly in [1e-3, 1e3] until some
     sample yields at least two nondegenerate positive steady states.
 
-    Deterministic for a fixed seed and budget; returns None when the
+    The samples are drawn in blocks of doubling size (1, 2, 4, ... up to
+    ``MAX_BLOCK`` samples and about ``MAX_BLOCK_ROWS`` Newton rows, at
+    least one sample), and one Newton run covers every start of every
+    sample in the block.  Each sample is then validated by
+    ``witness_search`` from its converged points, in draw order, and the
+    search stops at the first hit.  The result is the one that running
+    ``witness_search`` on each sample in turn would give, and it is
+    deterministic for a fixed seed and budget; returns None when the
     budget is exhausted.
     """
     if budget < 0:
@@ -261,9 +292,21 @@ def rate_search(
         raise ValueError("rate search requires a fully open network")
     rng = random.Random(seed)
     r = net.num_reactions
-    for _ in range(budget):
-        kappa = tuple(Fraction(10.0 ** rng.uniform(-3.0, 3.0)) for _ in range(r))
-        witness = witness_search(net, kappa, seed=seed)
-        if witness.count_nondegenerate() >= 2:
-            return witness
+    data = stoich(net)
+    exponents = np.array(data.reactant_matrix, dtype=float)
+    gamma = np.array(data.stoich_matrix, dtype=float)
+    starts = _default_starts(net.num_species, seed)
+    m = len(starts)
+    cap = max(1, min(MAX_BLOCK, MAX_BLOCK_ROWS // m))
+    for lo, hi in _doubling_blocks(budget, cap):
+        block = [
+            [10.0 ** rng.uniform(-3.0, 3.0) for _ in range(r)] for _ in range(lo, hi)
+        ]
+        rates = np.repeat(np.array(block), m, axis=0)
+        found = _newton_all_starts(starts * len(block), exponents, gamma, rates)
+        for i, kappa in enumerate(block):
+            points = [p for p in found[i * m : (i + 1) * m] if p is not None]
+            witness = witness_search(net, [Fraction(k) for k in kappa], starts=points)
+            if witness.count_nondegenerate() >= 2:
+                return witness
     return None

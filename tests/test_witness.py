@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from crnmss import witness
 from crnmss.embedding import fully_open_extension
-from crnmss.families import FamilySpec, generate
+from crnmss.families import NUM_ATOMS, FamilySpec, generate, load_atom
 from crnmss.network import parse_network
 from crnmss.structure import stoich
 from crnmss.unipoly import family_polynomial, positive_root_count
@@ -210,4 +211,115 @@ def test_block_damping_matches_sequential_halving(seed):
         for _ in range(12)
     ]
     expected = sequential_halving_newton(starts, exponents, gamma, rates)
-    assert witness._newton_all_starts(starts, exponents, gamma, rates) == expected
+    found = witness._newton_all_starts(starts, exponents, gamma, rates)
+    assert [x for x in found if x is not None] == expected
+
+
+def test_singular_matrix_in_a_batch_is_solved_around():
+    rng = np.random.default_rng(5)
+    jacs = rng.normal(size=(40, 3, 3))
+    jacs[17, 2] = 2.0 * jacs[17, 0]  # one singular matrix
+    rhs = rng.normal(size=(40, 3))
+    steps, ok = witness._solve_batch(jacs, rhs)
+    assert ok.tolist() == [i != 17 for i in range(40)]
+    for i in range(40):
+        if i != 17:
+            assert steps[i].tolist() == np.linalg.solve(jacs[i], rhs[i]).tolist()
+
+
+def _random_newton_case(rng, num_starts):
+    net = fully_open_extension(random_network(rng, max_species=3, max_reactions=3))
+    data = stoich(net)
+    exponents = np.array(data.reactant_matrix, dtype=float)
+    gamma = np.array(data.stoich_matrix, dtype=float)
+    starts = [
+        tuple(10.0 ** rng.uniform(-2.0, 2.0) for _ in range(net.num_species))
+        for _ in range(num_starts)
+    ]
+    return net, exponents, gamma, starts
+
+
+def _random_rates(rng, net):
+    return np.array([10.0 ** rng.uniform(-3.0, 3.0) for _ in range(net.num_reactions)])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_newton_rows_do_not_depend_on_their_batch(seed):
+    rng = random.Random(seed)
+    net, exponents, gamma, starts = _random_newton_case(rng, 6)
+    rates = [_random_rates(rng, net), _random_rates(rng, net)]
+    alone = [
+        [witness._newton_all_starts([x], exponents, gamma, k)[0] for x in starts]
+        for k in rates
+    ]
+    assert witness._newton_all_starts(starts, exponents, gamma, rates[0]) == alone[0]
+    tiled = np.repeat(np.array(rates), len(starts), axis=0)
+    block = witness._newton_all_starts(starts * 2, exponents, gamma, tiled)
+    assert block == alone[0] + alone[1]
+
+
+def one_sample_rate_search(net, budget, seed):
+    """The rate search that runs Newton on one rate sample at a time."""
+    rng = random.Random(seed)
+    for _ in range(budget):
+        kappa = tuple(
+            Fraction(10.0 ** rng.uniform(-3.0, 3.0)) for _ in range(net.num_reactions)
+        )
+        found = witness_search(net, kappa, seed=seed)
+        if found.count_nondegenerate() >= 2:
+            return found
+    return None
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=0, max_value=40),
+    st.sampled_from([1, 10**9]),
+)
+def test_batched_rate_search_matches_one_sample_loop(seed, budget, max_rows):
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        net = fully_open_extension(load_atom(rng.randint(1, NUM_ATOMS)))
+    else:
+        net = fully_open_extension(random_network(rng, max_species=2, max_reactions=3))
+    expected = one_sample_rate_search(net, budget, seed % 3)
+    with mock.patch.object(witness, "MAX_BLOCK_ROWS", max_rows):
+        found = rate_search(net, budget, seed % 3)
+    assert (found is None) == (expected is None)
+    if found is not None:
+        assert found.to_json() == expected.to_json()
+
+
+def _block_rows(net, budget):
+    """Rows of each batched Newton run of a rate search, with Newton
+    replaced by a stand-in that converges nowhere."""
+    rows = []
+
+    def record(starts, exponents, gamma, rates):
+        if np.ndim(rates) == 2:
+            rows.append(len(starts))
+        return [None] * len(starts)
+
+    with mock.patch.object(witness, "_newton_all_starts", record):
+        assert rate_search(net, budget) is None
+    return rows
+
+
+def test_rate_sample_blocks_double_within_the_row_cap():
+    two_species = fully_open_extension(parse_network("A <-> B"))
+    rows = _block_rows(two_species, 200)
+    assert rows[:2] == [25, 50]
+    assert max(rows) <= max(25, witness.MAX_BLOCK_ROWS)
+    assert sum(rows) == 200 * 25
+    three_species = fully_open_extension(parse_network("A + B <-> C"))
+    rows = _block_rows(three_species, 40)
+    assert rows[:2] == [125, 250]
+    assert max(rows) <= max(125, witness.MAX_BLOCK_ROWS)
+    six_species = parse_network(
+        "\n".join(f"0 <-> {x}" for x in "ABCDEF")
+        + "\nA + B + C + D + E + F -> 2 A + 2 B + 2 C + 2 D + 2 E + 2 F"
+        + "\nA + B -> C\nD + E -> 2 F"
+    )
+    assert _block_rows(six_species, 5) == [3125] * 5
