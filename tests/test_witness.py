@@ -227,28 +227,22 @@ def test_singular_matrix_in_a_batch_is_solved_around():
             assert steps[i].tolist() == np.linalg.solve(jacs[i], rhs[i]).tolist()
 
 
-def _random_newton_case(rng, num_starts):
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_newton_rows_do_not_depend_on_their_batch(seed):
+    rng = random.Random(seed)
     net = fully_open_extension(random_network(rng, max_species=3, max_reactions=3))
     data = stoich(net)
     exponents = np.array(data.reactant_matrix, dtype=float)
     gamma = np.array(data.stoich_matrix, dtype=float)
     starts = [
         tuple(10.0 ** rng.uniform(-2.0, 2.0) for _ in range(net.num_species))
-        for _ in range(num_starts)
+        for _ in range(6)
     ]
-    return net, exponents, gamma, starts
-
-
-def _random_rates(rng, net):
-    return np.array([10.0 ** rng.uniform(-3.0, 3.0) for _ in range(net.num_reactions)])
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_newton_rows_do_not_depend_on_their_batch(seed):
-    rng = random.Random(seed)
-    net, exponents, gamma, starts = _random_newton_case(rng, 6)
-    rates = [_random_rates(rng, net), _random_rates(rng, net)]
+    rates = [
+        np.array([10.0 ** rng.uniform(-3.0, 3.0) for _ in range(net.num_reactions)])
+        for _ in range(2)
+    ]
     alone = [
         [witness._newton_all_starts([x], exponents, gamma, k)[0] for x in starts]
         for k in rates
