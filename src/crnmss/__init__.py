@@ -1,181 +1,10 @@
 """Exact decision toolkit for multistationarity of mass-action reaction
 networks: deficiency theorems, injectivity criteria, embedded-atom search,
-determinant optimization, and numeric steady-state witnesses."""
+determinant optimization, and numeric steady-state witnesses.
 
-from .decide import (
-    INCONCLUSIVE,
-    MULTISTATIONARY,
-    NO_POSITIVE_STEADY_STATES,
-    NOT_MULTISTATIONARY,
-    AnalysisResult,
-    AnalyzeOptions,
-    AtomMatch,
-    InjectivityReport,
-    LimitExceeded,
-    NetworkFacts,
-    Verdict,
-    analyze,
-    atom_db_matches,
-    atom_db_search,
-    cfstr_injectivity,
-    check_deficiency_one,
-    check_deficiency_zero,
-    classify_one_nonflow_fully_open,
-    det_opt_condition,
-    determinant_optimization,
-    injectivity_minors,
-    injectivity_signvectors,
-    network_facts,
-    positive_dependence,
-    subnetwork_lift_obstruction,
-)
-from .embedding import (
-    EmbeddingWitness,
-    RemovalSpec,
-    SquareEmbeddedNetwork,
-    embedded_network,
-    enumerate_sens,
-    find_embedding,
-    fully_open_extension,
-    is_cfstr,
-    is_fully_open,
-    is_relevant,
-    non_flow_subnetwork,
-    orientation,
-    remove_intermediates,
-    sen_is_relevant,
-    total_molecularity,
-    verify_embedding,
-)
-from .families import (
-    NUM_ATOMS,
-    ExpectedVerdict,
-    FamilySpec,
-    expected_verdict,
-    generate,
-    load_atom,
-    load_atoms,
-    one_reaction_fully_open,
-)
-from .lp import LPResult, check_witness, solve_feasibility
-from .massaction import MassActionSystem, jacobian, mass_action_system
-from .network import (
-    Complex,
-    ParseError,
-    Reaction,
-    ReactionNetwork,
-    Species,
-    make_network,
-    parse_network,
-    render_complex,
-    render_network,
-)
-from .structure import (
-    DeficiencyReport,
-    deficiency,
-    is_weakly_reversible,
-    linkage_classes,
-    stoich,
-    strong_components,
-    terminal_strong_linkage_classes,
-)
-from .unipoly import (
-    UniPoly,
-    count_roots_in,
-    family_polynomial,
-    isolate_positive_roots,
-    multistable_rates,
-    positive_root_count,
-    stable_positive_root_count,
-    sturm_sequence,
-    two_root_rates,
-)
-from .witness import SteadyStateWitness, rate_search, witness_search
+The package holds only ``__version__``; every other name lives in its
+module, e.g. ``from crnmss.decide import analyze``.  Importing the package
+or its exact modules does not load numpy; ``crnmss.witness`` and
+``crnmss.cli`` do."""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnalysisResult",
-    "AnalyzeOptions",
-    "AtomMatch",
-    "Complex",
-    "DeficiencyReport",
-    "EmbeddingWitness",
-    "ExpectedVerdict",
-    "FamilySpec",
-    "INCONCLUSIVE",
-    "InjectivityReport",
-    "LPResult",
-    "LimitExceeded",
-    "MULTISTATIONARY",
-    "MassActionSystem",
-    "NO_POSITIVE_STEADY_STATES",
-    "NOT_MULTISTATIONARY",
-    "NUM_ATOMS",
-    "NetworkFacts",
-    "ParseError",
-    "Reaction",
-    "ReactionNetwork",
-    "RemovalSpec",
-    "Species",
-    "SquareEmbeddedNetwork",
-    "SteadyStateWitness",
-    "UniPoly",
-    "Verdict",
-    "analyze",
-    "atom_db_matches",
-    "atom_db_search",
-    "cfstr_injectivity",
-    "check_deficiency_one",
-    "check_deficiency_zero",
-    "check_witness",
-    "classify_one_nonflow_fully_open",
-    "count_roots_in",
-    "deficiency",
-    "det_opt_condition",
-    "determinant_optimization",
-    "embedded_network",
-    "enumerate_sens",
-    "expected_verdict",
-    "family_polynomial",
-    "find_embedding",
-    "fully_open_extension",
-    "generate",
-    "injectivity_minors",
-    "injectivity_signvectors",
-    "is_cfstr",
-    "is_fully_open",
-    "is_relevant",
-    "is_weakly_reversible",
-    "isolate_positive_roots",
-    "jacobian",
-    "linkage_classes",
-    "load_atom",
-    "load_atoms",
-    "make_network",
-    "mass_action_system",
-    "multistable_rates",
-    "network_facts",
-    "non_flow_subnetwork",
-    "one_reaction_fully_open",
-    "orientation",
-    "parse_network",
-    "positive_dependence",
-    "positive_root_count",
-    "rate_search",
-    "remove_intermediates",
-    "render_complex",
-    "render_network",
-    "sen_is_relevant",
-    "solve_feasibility",
-    "stable_positive_root_count",
-    "stoich",
-    "strong_components",
-    "sturm_sequence",
-    "subnetwork_lift_obstruction",
-    "terminal_strong_linkage_classes",
-    "total_molecularity",
-    "two_root_rates",
-    "verify_embedding",
-    "witness_search",
-]

@@ -267,9 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.command == "witness" and (args.kappa is None) == (not args.search):
         print("error: pass exactly one of --kappa or --search", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -90,8 +90,7 @@ def embedded_network(net: ReactionNetwork, spec: RemovalSpec) -> ReactionNetwork
 
 def non_flow_subnetwork(net: ReactionNetwork) -> ReactionNetwork:
     """Remove inflow and outflow reactions (and any species they orphan)."""
-    flows = {i for i, rxn in enumerate(net.reactions) if rxn.is_flow}
-    return embedded_network(net, RemovalSpec.of(reactions=flows))
+    return _on_used_species(net, [r for r in net.reactions if not r.is_flow])
 
 
 def fully_open_extension(net: ReactionNetwork) -> ReactionNetwork:
@@ -108,22 +107,20 @@ def fully_open_extension(net: ReactionNetwork) -> ReactionNetwork:
     return ReactionNetwork(net.species, tuple(reactions))
 
 
-def _every_species_has(net: ReactionNetwork, flow: Callable[[Complex], Reaction]) -> bool:
-    """True iff the network has ``flow({X})`` for every species X (and has species)."""
-    have = set(net.reactions)
-    return net.num_species > 0 and all(
-        flow(Complex.of({i: 1})) in have for i in range(net.num_species)
-    )
-
-
 def is_cfstr(net: ReactionNetwork) -> bool:
-    """True iff every species has its outflow X -> 0."""
-    return _every_species_has(net, lambda mono: Reaction(mono, Complex(())))
+    """True iff every species has its outflow X -> 0 (and there is a species).
+
+    Reactions are distinct, so counting outflows counts species with one."""
+    outflows = sum(1 for r in net.reactions if r.is_flow and r.product.is_zero)
+    return 0 < outflows == net.num_species
 
 
 def is_fully_open(net: ReactionNetwork) -> bool:
-    """True iff every species has both its inflow and its outflow."""
-    return is_cfstr(net) and _every_species_has(net, lambda mono: Reaction(Complex(()), mono))
+    """True iff every species has both its inflow and its outflow.
+
+    No species has more than one of each, so 2n flows means all of them."""
+    flows = sum(1 for r in net.reactions if r.is_flow)
+    return 0 < net.num_species and flows == 2 * net.num_species
 
 
 def _intermediate_complex(net: ReactionNetwork, species_idx: int) -> Complex:

@@ -1,5 +1,6 @@
 """Tests for the command line interface."""
 
+import argparse
 import io
 import json
 import sys
@@ -221,6 +222,21 @@ def test_witness_flag_exclusivity(tmp_path, capsys):
     assert main(["witness", path]) == 2
     assert "exactly one of" in capsys.readouterr().err
     assert main(["witness", path, "--kappa", "1", "1", "1", "--search"]) == 2
+
+
+def test_main_reuses_one_parser_without_carry_over(tmp_path, capsys, monkeypatch):
+    def no_new_parser(*args, **kwargs):
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", no_new_parser)
+    path = write_net(tmp_path, "0 -> A\nA -> 0\n2 A -> 3 A")
+    assert main(["witness", path, "--kappa", "1", "1", "1"]) == 0
+    assert "kappa: 1, 1, 1" in capsys.readouterr().out
+    # --kappa from the first call must not reach the second
+    assert main(["witness", path, "--search", "--budget", "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "no multistationary rates found within budget 0\n"
+    assert captured.err == ""
 
 
 def test_witness_kappa_validation(tmp_path, capsys):

@@ -26,7 +26,7 @@ from crnmss.embedding import (
     total_molecularity,
     verify_embedding,
 )
-from crnmss.network import Complex, Reaction, parse_network, render_network
+from crnmss.network import Complex, Reaction, make_network, parse_network, render_network
 from helpers import random_network
 
 
@@ -75,6 +75,51 @@ def test_non_flow_subnetwork_and_open_maps():
     assert fully_open_extension(open_net).reactions == open_net.reactions
 
 
+def reference_non_flow_subnetwork(net):
+    """The non-flow subnetwork as an embedded network: flows removed."""
+    flows = {i for i, r in enumerate(net.reactions) if r.is_flow}
+    return embedded_network(net, RemovalSpec.of(reactions=flows))
+
+
+def reference_every_species_has(net, flow):
+    have = set(net.reactions)
+    return net.num_species > 0 and all(
+        flow(Complex.of({i: 1})) in have for i in range(net.num_species)
+    )
+
+
+def reference_is_cfstr(net):
+    return reference_every_species_has(net, lambda mono: Reaction(mono, Complex(())))
+
+
+def reference_is_fully_open(net):
+    return reference_is_cfstr(net) and reference_every_species_has(
+        net, lambda mono: Reaction(Complex(()), mono)
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_flow_facts_match_their_definitions(seed):
+    rng = random.Random(seed)
+    base = random_network(rng, max_species=4, max_reactions=4, max_coeff=2)
+    zero = Complex(())
+    # 0 -> 2 X and 2 X -> 0 are generalized flows, not flows
+    share = rng.choice([0.3, 0.8, 1.0])
+    reactions = list(base.reactions)
+    for i in range(base.num_species):
+        for coeff in (1, 2):
+            cpx = Complex.of({i: coeff})
+            for r in (Reaction(zero, cpx), Reaction(cpx, zero)):
+                if r not in reactions and rng.random() < share:
+                    reactions.append(r)
+    rng.shuffle(reactions)
+    net = make_network(base.species_names(), reactions)
+    assert is_cfstr(net) == reference_is_cfstr(net)
+    assert is_fully_open(net) == reference_is_fully_open(net)
+    assert non_flow_subnetwork(net) == reference_non_flow_subnetwork(net)
+
+
 def test_fully_open_extension_keeps_species_indexing():
     net = parse_network("A + B -> 2 A")
     open_net = fully_open_extension(net)
@@ -91,6 +136,9 @@ def test_cfstr_vs_fully_open():
     assert is_cfstr(weird)
     assert not is_fully_open(weird)
     assert not weird.reactions[0].is_flow
+    empty = make_network([], [])
+    assert not is_cfstr(empty)
+    assert not is_fully_open(empty)
 
 
 def test_remove_intermediates():
