@@ -44,18 +44,11 @@ def restrict_reaction(rxn: Reaction, kept: Iterable[int]) -> Reaction | None:
     return Reaction(reactant, product)
 
 
-def restrict_each(
-    reactions: Sequence[Reaction], kept: Iterable[int]
-) -> list[Reaction | None]:
-    """Every reaction restricted to kept species, None where trivial; one
-    entry per reaction, in order."""
-    keep = frozenset(kept)
-    return [restrict_reaction(rxn, keep) for rxn in reactions]
-
-
 def restrict_reactions(reactions: Sequence[Reaction], kept: Iterable[int]) -> list[Reaction]:
     """Restrict each reaction; drop trivial results and duplicates (keep first)."""
-    return [res for res in dict.fromkeys(restrict_each(reactions, kept)) if res is not None]
+    keep = frozenset(kept)
+    restricted = dict.fromkeys(restrict_reaction(rxn, keep) for rxn in reactions)
+    return [res for res in restricted if res is not None]
 
 
 def _on_used_species(net: ReactionNetwork, reactions: Sequence[Reaction]) -> ReactionNetwork:
@@ -217,14 +210,20 @@ def enumerate_sens(
 ) -> Iterator[SquareEmbeddedNetwork]:
     """All size-k square embedded networks, lexicographic in (reactions, species).
 
-    Each species subset gives one stream: every reaction is restricted to
-    the subset once, and the k-combinations of the nontrivial restrictions
-    that ``admit`` accepts (all of them without ``admit``) are yielded in
-    lexicographic reaction order when they are pairwise distinct.
-    ``heapq.merge`` joins the streams by (reaction_indices,
-    species_indices).  A SEN is left out exactly when ``admit`` rejects
-    one of its restrictions.  With k equal to the number of species, as in
-    determinant optimization, there is a single stream.
+    Each species subset gives one stream: the k-combinations of the
+    nontrivial restrictions to the subset that ``admit`` accepts (all of
+    them without ``admit``) are yielded in lexicographic reaction order
+    when they are pairwise distinct.  ``heapq.merge`` joins the streams
+    by (reaction_indices, species_indices).  A SEN is left out exactly
+    when ``admit`` rejects one of its restrictions.  With k equal to the
+    number of species, as in determinant optimization, there is a single
+    stream.
+
+    A reaction's restriction to a subset depends only on the subset's
+    meet with the reaction's support, so each restriction is made, and
+    ``admit`` asked, once per (reaction, meet) in the scan, not once per
+    subset.  A reaction whose support misses the subset restricts to
+    nothing and is skipped.
 
     One unit of work is a species subset or a reaction combination
     formed, duplicates included; past ``WORK_LIMIT`` units the scan raises
@@ -245,14 +244,41 @@ def enumerate_sens(
         if work > WORK_LIMIT:
             raise LimitExceeded(refusal)
 
+    # supports[i]: bitmask of the species reaction i uses; memo[i]: support
+    # meet -> reaction i restricted to it, or None when that is trivial or
+    # admit rejects it
+    supports = []
+    for rxn in net.reactions:
+        mask = 0
+        for idx, _ in rxn.reactant.items + rxn.product.items:
+            mask |= 1 << idx
+        supports.append(mask)
+    memo: list[dict[int, Reaction | None]] = [{} for _ in supports]
+
+    def admitted(sp_subset: tuple[int, ...]) -> list[tuple[int, Reaction]]:
+        mask = 0
+        for idx in sp_subset:
+            mask |= 1 << idx
+        candidates = []
+        for i, support in enumerate(supports):
+            meet = support & mask
+            if not meet:
+                continue
+            by_meet = memo[i]
+            if meet in by_meet:
+                res = by_meet[meet]
+            else:
+                res = restrict_reaction(net.reactions[i], sp_subset)
+                if res is not None and admit is not None and not admit(res):
+                    res = None
+                by_meet[meet] = res
+            if res is not None:
+                candidates.append((i, res))
+        return candidates
+
     def stream(sp_subset: tuple[int, ...]):
         spend()
-        candidates = [
-            (i, res)
-            for i, res in enumerate(restrict_each(net.reactions, sp_subset))
-            if res is not None and (admit is None or admit(res))
-        ]
-        for combo in itertools.combinations(candidates, k):
+        for combo in itertools.combinations(admitted(sp_subset), k):
             spend()
             restricted = tuple(res for _, res in combo)
             if len(set(restricted)) == k:
@@ -400,14 +426,7 @@ def find_embedding(pattern: ReactionNetwork, host: ReactionNetwork) -> Embedding
     if ps > hs or pattern.num_reactions > host.num_reactions:
         return None
 
-    def columns(net: ReactionNetwork) -> list[list[tuple[int, int]]]:
-        # per species, its (reactant, product) coefficients in each reaction
-        return [
-            [(rxn.reactant.coeff(i), rxn.product.coeff(i)) for rxn in net.reactions]
-            for i in range(net.num_species)
-        ]
-
-    host_col, pattern_col = columns(host), columns(pattern)
+    host_col, pattern_col = host.columns, pattern.columns
 
     def extend(image: tuple[int, ...], agree: list[list[int]]) -> EmbeddingWitness | None:
         # agree[p]: the host reactions, ascending, that match pattern

@@ -20,6 +20,7 @@ numbers them.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -188,6 +189,16 @@ class ReactionNetwork:
 
     def species_names(self) -> tuple[str, ...]:
         return tuple(sp.name for sp in self.species)
+
+    @functools.cached_property
+    def columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per species, its (reactant, product) coefficients in each reaction.
+
+        Computed once per network; equality and hashing ignore it."""
+        return tuple(
+            tuple((rxn.reactant.coeff(i), rxn.product.coeff(i)) for rxn in self.reactions)
+            for i in range(self.num_species)
+        )
 
     def complexes(self) -> tuple[Complex, ...]:
         """Distinct complexes in order of first appearance (reactant, product)."""

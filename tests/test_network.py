@@ -186,6 +186,34 @@ def test_render_then_parse_round_trip(seed):
         assert again.reactions == parsed.reactions
 
 
+def reference_columns(net):
+    """Per species, its (reactant, product) coefficients in each reaction."""
+    return [
+        [(rxn.reactant.coeff(i), rxn.product.coeff(i)) for rxn in net.reactions]
+        for i in range(net.num_species)
+    ]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_columns_match_their_definition(seed):
+    net = random_network(random.Random(seed), max_species=5, max_reactions=5, max_coeff=3)
+    assert [list(col) for col in net.columns] == reference_columns(net)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_reading_columns_leaves_equality_and_hash_alone(seed):
+    net = random_network(random.Random(seed), max_species=5, max_reactions=5, max_coeff=3)
+    # reaction order does not matter to equality
+    twin = make_network(net.species_names(), reversed(net.reactions))
+    before = hash(net)
+    net.columns
+    assert hash(net) == before == hash(twin)
+    assert net == twin and twin == net
+    assert {twin: "twin"}[net] == "twin"
+
+
 def test_render_complex():
     names = ("A", "B")
     assert render_complex(Complex(()), names) == "0"

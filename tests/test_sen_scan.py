@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -112,6 +113,35 @@ def test_filter_drops_exactly_the_sens_holding_a_rejected_restriction(seed):
             assert [sen_key(sen) for sen in got] == [sen_key(sen) for sen in expected]
 
 
+def assert_admit_asked_once_per_restriction(net):
+    for k in range(1, min(net.num_species, net.num_reactions) + 1):
+        asked = []
+
+        def admit(res):
+            asked.append(res)
+            return irrelevant_alone(res) is None
+
+        list(enumerate_sens(net, k, admit))
+        # a restriction's species are its support, so the host reactions
+        # that restrict to it there bound how often one scan may ask
+        for res, times in Counter(asked).items():
+            support = {i for cpx in res.complexes() for i, _ in cpx}
+            holders = sum(restrict_reaction(rxn, support) == res for rxn in net.reactions)
+            assert times <= holders
+
+
+@property_settings
+@given(seeds)
+def test_admit_is_asked_once_per_reaction_and_restriction(seed):
+    net = random_network(random.Random(seed), max_species=5, max_reactions=5, max_coeff=2)
+    assert_admit_asked_once_per_restriction(net)
+
+
+def test_admit_is_asked_once_per_reaction_and_restriction_on_sequestration():
+    net = fully_open_extension(generate(FamilySpec("K", 2, 10)))
+    assert_admit_asked_once_per_restriction(non_flow_subnetwork(net))
+
+
 def test_sequestration_counterexamples_pinned():
     cases = {
         (2, 3): ["X1 -> 2 X3", "X1 + X2 -> 0", "X2 + X3 -> 0"],
@@ -177,7 +207,7 @@ def test_scan_with_too_many_species_subsets_is_refused_before_any_restriction(mo
     # a cycle of 16 species, k = 8: C(16, 8) = 12,870 species subsets
     net = parse_network("\n".join(f"X{i} -> X{i % 16 + 1}" for i in range(1, 17)))
     calls = []
-    monkeypatch.setattr("crnmss.embedding.restrict_each", lambda *a: calls.append(a))
+    monkeypatch.setattr("crnmss.embedding.restrict_reaction", lambda *a: calls.append(a))
     monkeypatch.setattr("crnmss.embedding.WORK_LIMIT", 1000)
     with pytest.raises(LimitExceeded, match="work bound 1000$"):
         next(enumerate_sens(net, 8))
