@@ -235,19 +235,21 @@ def _sign_patterns(length: int) -> Iterator[SignVector]:
                 break
 
 
+def _unit_rows(width: int, count: int) -> list[list[int]]:
+    """The unit rows e_0, ..., e_{count-1} of length ``width``."""
+    return [[int(i == j) for i in range(width)] for j in range(count)]
+
+
 def _sign_constraints(pattern: SignVector, rows: Sequence[Sequence[int]] | None = None):
     """Constraints forcing sign(x_i) = pattern_i (scale-normalized to >= 1).
 
     With ``rows`` given, the constraints apply to (rows . x) instead.
     """
+    if rows is None:
+        rows = _unit_rows(len(pattern), len(pattern))
     cons = []
-    n = len(pattern) if rows is None else len(rows[0])
     for i, want in enumerate(pattern):
-        coeffs = [0] * n
-        if rows is None:
-            coeffs[i] = 1
-        else:
-            coeffs = list(rows[i])
+        coeffs = list(rows[i])
         if want > 0:
             cons.append((coeffs, ">=", 1))
         elif want < 0:
@@ -374,10 +376,7 @@ def positive_dependence(net: ReactionNetwork, data: StoichData | None = None) ->
         data = stoich(net)
     r = net.num_reactions
     cons = [(list(row), "==", 0) for row in data.stoich_matrix]
-    for i in range(r):
-        coeffs = [0] * r
-        coeffs[i] = 1
-        cons.append((coeffs, ">=", 1))
+    cons += [(e, ">=", 1) for e in _unit_rows(r, r)]
     return solve_feasibility(r, cons)
 
 
@@ -417,10 +416,7 @@ def subnetwork_lift_obstruction(
     for row in gamma:
         coeffs = [row[j] for j in removed_idx] + [-row[j] for j in sub_cols]
         cons.append((coeffs, "==", 0))
-    for j in range(t):
-        coeffs = [0] * (t + g)
-        coeffs[j] = 1
-        cons.append((coeffs, ">=", 1))
+    cons += [(e, ">=", 1) for e in _unit_rows(t + g, t)]
     result = solve_feasibility(t + g, cons, free_vars=range(t, t + g))
     if result.feasible:
         return None
@@ -557,10 +553,7 @@ def determinant_optimization(net: ReactionNetwork) -> DetOptCertificate | None:
         for i in sen.species_indices:
             coeffs = [rxn.reactant.coeff(i) - rxn.product.coeff(i) for rxn in sen.reactions]
             cons.append((coeffs, ">=", 1))
-        for j in range(k):
-            coeffs = [0] * k
-            coeffs[j] = 1
-            cons.append((coeffs, ">=", 1))
+        cons += [(e, ">=", 1) for e in _unit_rows(k, k)]
         result = solve_feasibility(k, cons)
         if result.feasible:
             assert result.witness is not None

@@ -5,6 +5,12 @@ nonempty and produces an exact rational point when it is.  Bland's rule
 on both the entering and leaving choices guarantees termination.  Strict
 positivity is not expressible in an LP; callers encode it as >= 1, which
 is equivalent up to scaling for the homogeneous systems used here.
+
+The tableau holds only the structural columns (variables, free-variable
+splits, slacks); the artificials survive only as the starting basis n + i.
+Bland's rule enters one only when no structural reduced cost is negative:
+then a positive objective is a Farkas proof of infeasibility, and a zero
+one allows only ratio-0 pivots, so the point is the full tableau's.
 """
 
 from __future__ import annotations
@@ -28,34 +34,21 @@ def _phase1(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] |
     """Feasible point of {y >= 0 : rows . y = rhs}, or None."""
     m = len(rows)
     n = len(rows[0]) if m else 0
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-    width = n + m
-    tableau = [rows[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [rhs[i]]
-               for i in range(m)]
+    tableau = [[-v for v in row] + [-b] if b < 0 else row + [b] for row, b in zip(rows, rhs)]
+    # last row: phase-1 reduced costs, minus each column's sum; its rhs
+    # entry is minus the sum of the artificial variables
+    tableau.append([-sum(col) for col in zip(*tableau)])
     basis = [n + i for i in range(m)]
-    # phase-1 reduced costs: c_j - sum of column j over rows (c = 1 on artificials)
-    zrow = [Fraction(0)] * (width + 1)
-    for j in range(width + 1):
-        col_sum = sum(tableau[i][j] for i in range(m))
-        cost = Fraction(1) if j >= n and j < width else Fraction(0)
-        zrow[j] = cost - col_sum
 
     while True:
-        enter = -1
-        for j in range(width):
-            if zrow[j] < 0:
-                enter = j
-                break
+        enter = next((j for j in range(n) if tableau[m][j] < 0), -1)
         if enter == -1:
             break
         leave = -1
         best: Fraction | None = None
         for i in range(m):
             if tableau[i][enter] > 0:
-                ratio = tableau[i][width] / tableau[i][enter]
+                ratio = tableau[i][n] / tableau[i][enter]
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     best = ratio
                     leave = i
@@ -64,21 +57,18 @@ def _phase1(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] |
             raise RuntimeError("unbounded phase-1 problem")
         piv = tableau[leave][enter]
         tableau[leave] = [v / piv for v in tableau[leave]]
-        for i in range(m):
+        for i in range(m + 1):
             if i != leave and tableau[i][enter] != 0:
                 f = tableau[i][enter]
                 tableau[i] = [a - f * b for a, b in zip(tableau[i], tableau[leave])]
-        if zrow[enter] != 0:
-            f = zrow[enter]
-            zrow = [a - f * b for a, b in zip(zrow, tableau[leave])]
         basis[leave] = enter
 
-    if -zrow[width] != 0:
+    if tableau[m][n] != 0:
         return None
     point = [Fraction(0)] * n
     for i, b in enumerate(basis):
         if b < n:
-            point[b] = tableau[i][width]
+            point[b] = tableau[i][n]
     return point
 
 
@@ -145,6 +135,8 @@ def check_witness(
         if i not in free and x < 0:
             return False
     for coeffs, rel, rhs in constraints:
+        if len(coeffs) != len(witness):
+            return False
         lhs = sum((Fraction(c) * x for c, x in zip(coeffs, witness)), Fraction(0))
         rhs = Fraction(rhs)
         if rel == "<=" and not lhs <= rhs:
