@@ -164,6 +164,8 @@ def cmd_atoms(args) -> int:
 
 def cmd_generate(args) -> int:
     if args.family == "atom":
+        if args.n is not None:
+            raise ValueError("family atom takes one parameter m")
         spec = FamilySpec("atom-2rxn", args.m)
     else:
         if args.n is None:

@@ -30,13 +30,7 @@ from .embedding import (
 from .linalg import rank_int, submatrix
 from .lp import LPResult, solve_feasibility
 from .network import ReactionNetwork, render_complex, render_network
-from .structure import (
-    DeficiencyReport,
-    StoichData,
-    deficiency,
-    stoich,
-    terminal_strong_linkage_classes,
-)
+from .structure import DeficiencyReport, deficiency, stoich, terminal_strong_linkage_classes
 
 MULTISTATIONARY = "MULTISTATIONARY"
 NOT_MULTISTATIONARY = "NOT_MULTISTATIONARY"
@@ -91,7 +85,6 @@ def _sen_description(sen: SquareEmbeddedNetwork) -> dict:
 class NetworkFacts:
     """The structural facts every stage reads, computed once per analysis."""
 
-    stoich: StoichData
     deficiency: DeficiencyReport
     weakly_reversible: bool
     cfstr: bool
@@ -99,11 +92,9 @@ class NetworkFacts:
 
 
 def network_facts(net: ReactionNetwork) -> NetworkFacts:
-    data = stoich(net)
     classes = terminal_strong_linkage_classes(net)
     return NetworkFacts(
-        data,
-        deficiency(net, data, classes),
+        deficiency(net, classes),
         len(classes["strong"]) == len(classes["linkage"]),
         is_cfstr(net),
         is_fully_open(net),
@@ -185,9 +176,7 @@ class InjectivityReport:
         return self.status == "injective"
 
 
-def injectivity_minors(
-    net: ReactionNetwork, data: StoichData | None = None
-) -> InjectivityReport:
+def injectivity_minors(net: ReactionNetwork) -> InjectivityReport:
     """All rank-size minor products of (Gamma, reactant matrix) share a sign.
 
     For species S and reactions R of size k, det Gamma[S,R] * det M[R,S]
@@ -198,13 +187,10 @@ def injectivity_minors(
     the first product of the other sign, and reports a ``conflict`` of
     two (species, reactions, value) triples in stream order.  The all-zero
     outcome, which includes rank 0, is reported as "degenerate" and
-    treated as not injective by callers.  ``data`` is ``stoich(net)`` when
-    the caller has it already.  The work bound of ``enumerate_sens``
-    applies; past it the scan raises ``LimitExceeded``.
+    treated as not injective by callers.  The work bound of
+    ``enumerate_sens`` applies; past it the scan raises ``LimitExceeded``.
     """
-    if data is None:
-        data = stoich(net)
-    k = data.rank
+    k = stoich(net).rank
     first: tuple | None = None
     for sen in enumerate_sens(net, k):
         value = (-1) ** k * orientation(sen)
@@ -277,9 +263,7 @@ def injectivity_signvectors(net: ReactionNetwork) -> InjectivityReport:
             f"{3 ** (s + r)} sign pattern pairs exceed the work bound {embedding.WORK_LIMIT}"
         )
     data = stoich(net)
-    gamma_rows = [list(row) for row in data.stoich_matrix]  # s x r
-    reactant_rows = [list(row) for row in data.reactant_matrix]  # r x s
-
+    gamma_rows, reactant_rows = data.stoich_matrix, data.reactant_matrix  # s x r, r x s
     gamma_eq = [(row, "==", 0) for row in gamma_rows]
 
     def kernel_realizable(tau: SignVector) -> bool:
@@ -366,16 +350,14 @@ def cfstr_injectivity(net: ReactionNetwork) -> InjectivityReport:
 # positive dependence and subnetwork lifting
 
 
-def positive_dependence(net: ReactionNetwork, data: StoichData | None = None) -> LPResult:
+def positive_dependence(net: ReactionNetwork) -> LPResult:
     """Is there alpha > 0 with Gamma alpha = 0?  (Normalized to alpha >= 1.)
 
     This is the LP route, which ``analyze`` calls only when structure is
-    silent.  ``data`` is ``stoich(net)`` when the caller has it already.
+    silent.
     """
-    if data is None:
-        data = stoich(net)
     r = net.num_reactions
-    cons = [(list(row), "==", 0) for row in data.stoich_matrix]
+    cons = [(list(row), "==", 0) for row in stoich(net).stoich_matrix]
     cons += [(e, ">=", 1) for e in _unit_rows(r, r)]
     return solve_feasibility(r, cons)
 
@@ -479,15 +461,13 @@ def classify_one_nonflow_fully_open(
 def _single_nonflow_shape(net: ReactionNetwork):
     """(a, b, reversible) when the non-flow part is one reaction or one
     reversible pair, else None."""
-    nonflow = [r for r in net.reactions if not r.is_flow]
-    s = net.num_species
-    if len(nonflow) == 1:
-        rxn = nonflow[0]
-        return tuple(rxn.reactant.vector(s)), tuple(rxn.product.vector(s)), False
-    if len(nonflow) == 2 and nonflow[0] == nonflow[1].reversed_():
-        rxn = nonflow[0]
-        return tuple(rxn.reactant.vector(s)), tuple(rxn.product.vector(s)), True
-    return None
+    nonflow = [j for j, rxn in enumerate(net.reactions) if not rxn.is_flow]
+    rxns = [net.reactions[j] for j in nonflow]
+    if not (len(rxns) == 1 or len(rxns) == 2 and rxns[0] == rxns[1].reversed_()):
+        return None
+    data, j = net.stoich_data, nonflow[0]
+    a = data.reactant_matrix[j]
+    return a, tuple(y + row[j] for y, row in zip(a, data.stoich_matrix)), len(rxns) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -543,17 +523,17 @@ def determinant_optimization(net: ReactionNetwork) -> DetOptCertificate | None:
     g0 = non_flow_subnetwork(net)
     if g0.num_species != s or g0.num_reactions < s:
         return None
+    gamma = g0.stoich_data.stoich_matrix
 
     for sen in enumerate_sens(g0, s):
         value = orientation(sen)
         if value >= 0:
             continue
+        # the SEN keeps every species of g0, so its reactant-minus-product
+        # rows are those of -Gamma at the SEN's reactions
         k = len(sen.reactions)
-        cons = []
-        for i in sen.species_indices:
-            coeffs = [rxn.reactant.coeff(i) - rxn.product.coeff(i) for rxn in sen.reactions]
-            cons.append((coeffs, ">=", 1))
-        cons += [(e, ">=", 1) for e in _unit_rows(k, k)]
+        rows = [[-row[j] for j in sen.reaction_indices] for row in gamma]
+        cons = [(row, ">=", 1) for row in rows] + [(e, ">=", 1) for e in _unit_rows(k, k)]
         result = solve_feasibility(k, cons)
         if result.feasible:
             assert result.witness is not None
@@ -653,12 +633,10 @@ def _positive_dependence_stage(net, facts, opts):
     # every alpha > 0; a zero row (a species that is only a catalyst) does not.
     if facts.fully_open or facts.weakly_reversible:
         holds = True
-    elif any(
-        any(row) and (min(row) >= 0 or max(row) <= 0) for row in facts.stoich.stoich_matrix
-    ):
+    elif any(any(row) and (min(row) >= 0 or max(row) <= 0) for row in stoich(net).stoich_matrix):
         holds = False
     else:
-        holds = positive_dependence(net, facts.stoich).feasible
+        holds = positive_dependence(net).feasible
     if holds:
         return "positive dependence holds"
     return Verdict(
@@ -688,7 +666,7 @@ def _injectivity_stage(net, facts, opts):
             "injectivity fails: negatively oriented relevant square embedded "
             f"network {_sen_description(report.negative_sen)['reactions']}"
         )
-    report = injectivity_minors(net, facts.stoich)
+    report = injectivity_minors(net)
     if report.injective:
         return Verdict(
             NOT_MULTISTATIONARY,
@@ -786,14 +764,14 @@ def analyze(net: ReactionNetwork, options: AnalyzeOptions | None = None) -> Anal
     A stage past a work bound raises ``LimitExceeded`` with its name first.
     """
     opts = options or AnalyzeOptions()
+    for name in opts.stages:
+        if name not in STAGES:
+            raise ValueError(f"unknown pipeline stage {name!r}")
     facts = network_facts(net)
     notes: list[str] = []
     for name in opts.stages:
-        stage = STAGES.get(name)
-        if stage is None:
-            raise ValueError(f"unknown pipeline stage {name!r}")
         try:
-            outcome = stage(net, facts, opts)
+            outcome = STAGES[name](net, facts, opts)
         except LimitExceeded as exc:
             raise LimitExceeded(f"{name}: {exc}") from exc
         if isinstance(outcome, str):

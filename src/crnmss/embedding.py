@@ -183,12 +183,15 @@ class SquareEmbeddedNetwork:
 
 
 def orientation(sen: SquareEmbeddedNetwork) -> int:
-    """det[reactant columns] * det[reactant - product columns] (exact)."""
-    rows = sen.species_indices
-    reactant_mat = [[rxn.reactant.coeff(i) for rxn in sen.reactions] for i in rows]
-    diff_mat = [
-        [rxn.reactant.coeff(i) - rxn.product.coeff(i) for rxn in sen.reactions] for i in rows
-    ]
+    """det[reactant columns] * det[reactant - product columns] (exact).
+
+    Restriction keeps the coefficients of the kept species, so the entries
+    are read from the host's cached ``stoich_data``."""
+    data = sen.host.stoich_data
+    reactant, gamma = data.reactant_matrix, data.stoich_matrix
+    rows, rxns = sen.species_indices, sen.reaction_indices
+    reactant_mat = [[reactant[j][i] for j in rxns] for i in rows]
+    diff_mat = [[-gamma[i][j] for j in rxns] for i in rows]
     return det_int(reactant_mat) * det_int(diff_mat)
 
 

@@ -63,12 +63,7 @@ def mass_action_system(
     if any(k <= 0 for k in rates):
         raise ValueError("rate constants must be positive")
     data = stoich(net)
-    s = net.num_species
-    terms = []
-    for k in range(net.num_reactions):
-        expo = data.reactant_matrix[k]
-        gamma_col = tuple(data.stoich_matrix[i][k] for i in range(s))
-        terms.append((rates[k], expo, gamma_col))
+    terms = zip(rates, data.reactant_matrix, zip(*data.stoich_matrix))
     return MassActionSystem(net, rates, tuple(terms))
 
 

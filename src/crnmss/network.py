@@ -25,6 +25,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
+from .linalg import rank_int
+
 # Upper bound on a single stoichiometric coefficient; guards against
 # typos like "10000000000 A" rather than any arithmetic limitation.
 MAX_COEFFICIENT = 10**9
@@ -105,12 +107,6 @@ class Complex:
                 return c
         return 0
 
-    def vector(self, num_species: int) -> list[int]:
-        dense = [0] * num_species
-        for idx, c in self.items:
-            dense[idx] = c
-        return dense
-
     def restrict(self, kept: Iterable[int]) -> "Complex":
         """Zero out every species not in ``kept``."""
         keep = set(kept)
@@ -147,6 +143,21 @@ class Reaction:
 
     def complexes(self) -> tuple[Complex, Complex]:
         return (self.reactant, self.product)
+
+
+@dataclass(frozen=True)
+class StoichData:
+    """A network's stoichiometric matrix Gamma, whose column k is product
+    minus reactant of reaction k and whose columns span the stoichiometric
+    subspace, and its reactant matrix M, whose row k is that reactant."""
+
+    stoich_matrix: tuple[tuple[int, ...], ...]  # s x r
+    reactant_matrix: tuple[tuple[int, ...], ...]  # r x s
+
+    @functools.cached_property
+    def rank(self) -> int:
+        """Dimension of the stoichiometric subspace, computed on first use."""
+        return rank_int(self.stoich_matrix)
 
 
 @dataclass(frozen=True)
@@ -191,13 +202,31 @@ class ReactionNetwork:
         return tuple(sp.name for sp in self.species)
 
     @functools.cached_property
-    def columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per species, its (reactant, product) coefficients in each reaction.
+    def stoich_data(self) -> StoichData:
+        """Gamma and the reactant matrix: the one place where the sparse
+        complexes become dense integers.  Computed once per network;
+        equality and hashing ignore it."""
+        s = self.num_species
+        reactant_rows, gamma_cols = [], []
+        for rxn in self.reactions:
+            reactant = [0] * s
+            for idx, c in rxn.reactant.items:
+                reactant[idx] = c
+            gamma_col = [-c for c in reactant]
+            for idx, c in rxn.product.items:
+                gamma_col[idx] += c
+            reactant_rows.append(tuple(reactant))
+            gamma_cols.append(gamma_col)
+        return StoichData(tuple(zip(*gamma_cols)), tuple(reactant_rows))
 
-        Computed once per network; equality and hashing ignore it."""
+    @functools.cached_property
+    def columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per species, its (reactant, product) coefficients in each
+        reaction, read off ``stoich_data`` once per network."""
+        data = self.stoich_data
         return tuple(
-            tuple((rxn.reactant.coeff(i), rxn.product.coeff(i)) for rxn in self.reactions)
-            for i in range(self.num_species)
+            tuple((y[i], y[i] + g) for y, g in zip(data.reactant_matrix, row))
+            for i, row in enumerate(data.stoich_matrix)
         )
 
     def complexes(self) -> tuple[Complex, ...]:

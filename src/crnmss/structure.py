@@ -1,11 +1,5 @@
 """Structural analysis: stoichiometric matrices, linkage classes, deficiency.
 
-Matrix conventions (species count s, reaction count r, complex count p):
-
-* stoichiometric matrix Gamma: s x r, column k = product - reactant of
-  reaction k; its column span is the stoichiometric subspace;
-* reactant matrix M: r x s, row k = reactant complex of reaction k.
-
 The deficiency formula p - l - rank(Gamma) is only meaningful when every
 linkage class contains exactly one terminal strong linkage class;
 ``deficiency`` reports applicability instead of guessing.
@@ -16,27 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import rank_int, submatrix
-from .network import ReactionNetwork
-
-
-@dataclass(frozen=True)
-class StoichData:
-    stoich_matrix: tuple[tuple[int, ...], ...]  # s x r
-    reactant_matrix: tuple[tuple[int, ...], ...]  # r x s
-    rank: int  # dim of the stoichiometric subspace
+from .network import ReactionNetwork, StoichData
 
 
 def stoich(net: ReactionNetwork) -> StoichData:
-    s = net.num_species
-    gamma_cols = []
-    m_rows = []
-    for rxn in net.reactions:
-        rvec = rxn.reactant.vector(s)
-        pvec = rxn.product.vector(s)
-        gamma_cols.append([pvec[i] - rvec[i] for i in range(s)])
-        m_rows.append(tuple(rvec))
-    gamma = tuple(tuple(col[i] for col in gamma_cols) for i in range(s))
-    return StoichData(gamma, tuple(m_rows), rank_int(gamma))
+    """The network's stoichiometric data, built once and cached on it."""
+    return net.stoich_data
 
 
 def _complex_graph(net: ReactionNetwork) -> tuple[int, list[tuple[int, int]]]:
@@ -122,19 +101,16 @@ class DeficiencyReport:
     reason: str | None = None
 
 
-def deficiency(
-    net: ReactionNetwork, data: StoichData | None = None, classes: dict | None = None
-) -> DeficiencyReport:
+def deficiency(net: ReactionNetwork, classes: dict | None = None) -> DeficiencyReport:
     """Deficiency p - l - rank(Gamma), plus per linkage class values.
 
     When some linkage class holds more than one terminal strong linkage
     class the formula is not the dimension-gap it is meant to measure, so
-    the report comes back with applicable=False and no numbers.  ``data``
-    is ``stoich(net)`` and ``classes`` is
-    ``terminal_strong_linkage_classes(net)`` when the caller has them already.
+    the report comes back with applicable=False and no numbers.  ``classes``
+    is ``terminal_strong_linkage_classes(net)`` when the caller has it
+    already.
     """
-    if data is None:
-        data = stoich(net)
+    data = stoich(net)
     if classes is None:
         classes = terminal_strong_linkage_classes(net)
     lclasses = classes["linkage"]

@@ -193,6 +193,13 @@ def test_generate_missing_parameter_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_generate_atom_with_a_second_parameter_exits_2(capsys):
+    assert main(["generate", "atom", "3", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: family atom takes one parameter m\n"
+
+
 def test_witness_kappa_json(tmp_path, capsys):
     net = fully_open_extension(parse_network("A <-> B"))
     path = write_net(tmp_path, render_network(net))

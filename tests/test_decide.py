@@ -444,6 +444,14 @@ def test_analyze_det_opt_and_atoms():
     assert res.verdict.certificate["atom"] == "2rxn-11"
 
 
+def test_analyze_rejects_an_unknown_stage_before_any_stage_runs():
+    net = parse_network("A <-> B")
+    # the first stage alone concludes, so the bad name must be caught first
+    assert analyze(net, AnalyzeOptions(("deficiency-zero",))).verdict.status == NOT_MULTISTATIONARY
+    with pytest.raises(ValueError, match="^unknown pipeline stage 'bogus'$"):
+        analyze(net, AnalyzeOptions(("deficiency-zero", "bogus")))
+
+
 def test_analyze_minors_verdict_and_degenerate_note():
     # atlas case rand4-053: not a CFSTR, every minor product is negative
     res = analyze(parse_network("0 -> 2 S2\n2 S2 + 2 S1 -> S2 + 2 S1"))

@@ -1,6 +1,7 @@
 """Tests for the network model and the text format."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from crnmss.network import (
     render_complex,
     render_network,
 )
+from crnmss.structure import stoich
 from helpers import random_network
 
 
@@ -35,7 +37,6 @@ def test_complex_accessors():
     assert c.coeff(0) == 2
     assert c.coeff(1) == 0
     assert c.support == (0, 3)
-    assert c.vector(4) == [2, 0, 0, 1]
     assert not c.is_single_molecule
     assert Complex.of({2: 1}).is_single_molecule
     assert not Complex.of({2: 2}).is_single_molecule
@@ -201,6 +202,39 @@ def test_columns_match_their_definition(seed):
     assert [list(col) for col in net.columns] == reference_columns(net)
 
 
+def fraction_rank(rows):
+    """Rank by Gaussian elimination over the rationals."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][col] / m[rank][col]
+            m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_cached_stoich_data_matches_its_definition(seed):
+    net = random_network(random.Random(seed), max_species=5, max_reactions=5, max_coeff=3)
+    species = range(net.num_species)
+    gamma = tuple(
+        tuple(rxn.product.coeff(i) - rxn.reactant.coeff(i) for rxn in net.reactions)
+        for i in species
+    )
+    reactant = tuple(tuple(rxn.reactant.coeff(i) for i in species) for rxn in net.reactions)
+    data = stoich(net)
+    assert data.stoich_matrix == gamma
+    assert data.reactant_matrix == reactant
+    assert data.rank == fraction_rank(gamma)
+    assert stoich(net) is data
+
+
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_reading_columns_leaves_equality_and_hash_alone(seed):
@@ -209,6 +243,7 @@ def test_reading_columns_leaves_equality_and_hash_alone(seed):
     twin = make_network(net.species_names(), reversed(net.reactions))
     before = hash(net)
     net.columns
+    stoich(net)
     assert hash(net) == before == hash(twin)
     assert net == twin and twin == net
     assert {twin: "twin"}[net] == "twin"

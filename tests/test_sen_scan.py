@@ -22,7 +22,7 @@ from crnmss.embedding import (
 )
 from crnmss.families import FamilySpec, generate
 from crnmss.linalg import det_int, submatrix
-from crnmss.network import parse_network
+from crnmss.network import Complex, Reaction, make_network, parse_network
 from crnmss.structure import stoich
 from helpers import random_cfstr, random_network
 
@@ -38,6 +38,33 @@ def reference_negative_sen(net):
             if sen_is_relevant(sen)[0] and orientation(sen) < 0:
                 return sen
     return None
+
+
+def coefficient_orientation(sen):
+    """The orientation built entry by entry from the SEN's own reactions."""
+    rows = sen.species_indices
+    reactant = [[rxn.reactant.coeff(i) for rxn in sen.reactions] for i in rows]
+    diff = [[rxn.reactant.coeff(i) - rxn.product.coeff(i) for rxn in sen.reactions] for i in rows]
+    return det_int(reactant) * det_int(diff)
+
+
+@property_settings
+@given(seeds)
+def test_orientation_matches_the_coefficient_product(seed):
+    base = random_network(random.Random(seed), max_species=4, max_reactions=5, max_coeff=2)
+    # a flow-only species F in front, so the non-flow subnetwork renumbers the rest
+    shift = {i: i + 1 for i in range(base.num_species)}
+    zero, f = Complex(()), Complex.of({0: 1})
+    reactions = [Reaction(zero, f), Reaction(f, zero)] + [
+        Reaction(r.reactant.rename(shift), r.product.rename(shift)) for r in base.reactions
+    ]
+    net = make_network(("F",) + base.species_names(), reactions)
+    g0 = non_flow_subnetwork(net)
+    assert g0.num_species < net.num_species
+    for host in (net, g0):
+        for k in range(1, min(host.num_species, host.num_reactions) + 1):
+            for sen in enumerate_sens(host, k):
+                assert orientation(sen) == coefficient_orientation(sen)
 
 
 def sen_key(sen):

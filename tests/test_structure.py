@@ -160,6 +160,7 @@ def test_network_facts_builds_the_complex_graph_at_most_twice(monkeypatch):
 
 @pytest.mark.parametrize("length", [5, 50])
 def test_network_facts_ranks_a_single_linkage_class_once(monkeypatch, length):
+    import crnmss.network
     import crnmss.structure
     from crnmss.decide import network_facts
 
@@ -170,6 +171,8 @@ def test_network_facts_ranks_a_single_linkage_class_once(monkeypatch, length):
         calls.append(matrix)
         return rank(matrix)
 
+    # rank Gamma is computed with the network's cached matrices
+    monkeypatch.setattr(crnmss.network, "rank_int", counting)
     monkeypatch.setattr(crnmss.structure, "rank_int", counting)
     cycle = "\n".join(f"X{i} -> X{(i + 1) % length}" for i in range(length))
     facts = network_facts(parse_network(cycle))
