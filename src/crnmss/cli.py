@@ -21,7 +21,6 @@ from .decide import (
     analyze,
     atom_db_matches,
     network_facts,
-    to_jsonable,
 )
 from .embedding import fully_open_extension
 from .families import FamilySpec, generate
@@ -120,7 +119,7 @@ def cmd_check(args) -> int:
         print(f"verdict: {verdict.status}")
         if verdict.certificate is not None:
             print(f"certificate: {verdict.certificate.get('kind')}")
-            for key, value in to_jsonable(verdict.certificate).items():
+            for key, value in verdict.certificate.items():
                 if key == "kind":
                     continue
                 if isinstance(value, str) and "\n" in value:

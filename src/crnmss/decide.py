@@ -27,7 +27,6 @@ from .embedding import (
     orientation,
     sen_is_relevant,
 )
-from .linalg import rank_int, submatrix
 from .lp import LPResult, solve_feasibility
 from .network import ReactionNetwork, render_complex, render_network
 from .structure import DeficiencyReport, deficiency, stoich, terminal_strong_linkage_classes
@@ -39,19 +38,11 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 SignVector = tuple[int, ...]
 
-def to_jsonable(value):
-    """Recursively turn Fractions into strings for JSON output."""
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, dict):
-        return {k: to_jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [to_jsonable(v) for v in value]
-    return value
-
 
 @dataclass(frozen=True)
 class Verdict:
+    """A status and its certificate, which holds only JSON values."""
+
     status: str
     certificate: dict | None
     notes: tuple[str, ...] = ()
@@ -59,22 +50,17 @@ class Verdict:
     def to_json(self) -> dict:
         return {
             "status": self.status,
-            "certificate": to_jsonable(self.certificate),
+            "certificate": self.certificate,
             "notes": list(self.notes),
         }
 
 
-def _sen_description(sen: SquareEmbeddedNetwork) -> dict:
+def _sen_reactions(sen: SquareEmbeddedNetwork) -> list[str]:
     names = sen.host.species_names()
-    return {
-        "reaction_indices": list(sen.reaction_indices),
-        "species": list(sen.species_names()),
-        "reactions": [
-            f"{render_complex(r.reactant, names)} -> {render_complex(r.product, names)}"
-            for r in sen.reactions
-        ],
-        "orientation": orientation(sen),
-    }
+    return [
+        f"{render_complex(r.reactant, names)} -> {render_complex(r.product, names)}"
+        for r in sen.reactions
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +155,6 @@ class InjectivityReport:
     conflict: tuple | None = None
     negative_sen: SquareEmbeddedNetwork | None = None
     common_sign_vector: SignVector | None = None
-    notes: tuple[str, ...] = ()
 
     @property
     def injective(self) -> bool:
@@ -202,11 +187,7 @@ def injectivity_minors(net: ReactionNetwork) -> InjectivityReport:
         elif (value > 0) != (first[2] > 0):
             return InjectivityReport("minors", "not-injective", conflict=(first, pair))
     if first is None:
-        return InjectivityReport(
-            "minors",
-            "degenerate",
-            notes=("every rank-size minor product vanishes",),
-        )
+        return InjectivityReport("minors", "degenerate")
     return InjectivityReport("minors", "injective", sign=1 if first[2] > 0 else -1)
 
 
@@ -347,7 +328,7 @@ def cfstr_injectivity(net: ReactionNetwork) -> InjectivityReport:
 
 
 # ---------------------------------------------------------------------------
-# positive dependence and subnetwork lifting
+# positive dependence
 
 
 def positive_dependence(net: ReactionNetwork) -> LPResult:
@@ -360,61 +341,6 @@ def positive_dependence(net: ReactionNetwork) -> LPResult:
     cons = [(list(row), "==", 0) for row in stoich(net).stoich_matrix]
     cons += [(e, ">=", 1) for e in _unit_rows(r, r)]
     return solve_feasibility(r, cons)
-
-
-def subnetwork_lift_obstruction(
-    host: ReactionNetwork, sub: ReactionNetwork
-) -> Verdict | None:
-    """Preclusion of positive steady states of ``host`` via a subnetwork.
-
-    When the subnetwork spans a strictly smaller stoichiometric subspace
-    and no positive combination of the removed reaction vectors lies in
-    that subspace, the host has no positive steady state at all.
-    """
-    name_to_host = {sp.name: sp.index for sp in host.species}
-    for sp in sub.species:
-        if sp.name not in name_to_host:
-            raise ValueError(f"subnetwork species {sp.name} missing from host")
-    lift = {sp.index: name_to_host[sp.name] for sp in sub.species}
-    host_index = {rxn: j for j, rxn in enumerate(host.reactions)}
-    sub_cols = []
-    for rxn in sub.reactions:
-        mapped = type(rxn)(rxn.reactant.rename(lift), rxn.product.rename(lift))
-        if mapped not in host_index:
-            raise ValueError("sub is not a subnetwork of host (reaction mismatch)")
-        sub_cols.append(host_index[mapped])
-    removed_idx = sorted(set(range(host.num_reactions)) - set(sub_cols))
-    if not removed_idx:
-        return None
-    data = stoich(host)
-    gamma = data.stoich_matrix
-    host_rank = data.rank
-    sub_rank = rank_int(submatrix(gamma, range(host.num_species), sub_cols))
-    if sub_rank == host_rank:
-        return None
-    t = len(removed_idx)
-    g = len(sub_cols)
-    cons = []
-    for row in gamma:
-        coeffs = [row[j] for j in removed_idx] + [-row[j] for j in sub_cols]
-        cons.append((coeffs, "==", 0))
-    cons += [(e, ">=", 1) for e in _unit_rows(t + g, t)]
-    result = solve_feasibility(t + g, cons, free_vars=range(t, t + g))
-    if result.feasible:
-        return None
-    return Verdict(
-        NO_POSITIVE_STEADY_STATES,
-        {
-            "kind": "subnetwork-lift-obstruction",
-            "removed_reactions": removed_idx,
-            "subnetwork_rank": sub_rank,
-            "host_rank": host_rank,
-        },
-        notes=(
-            "no positive combination of the removed reaction vectors lies in the "
-            "subnetwork's stoichiometric subspace",
-        ),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -481,10 +407,14 @@ class DetOptCertificate:
     orientation: int
 
     def to_json(self) -> dict:
-        body = _sen_description(self.sen)
-        body["kind"] = "det-opt"
-        body["eta"] = to_jsonable(list(self.eta))
-        return body
+        return {
+            "reaction_indices": list(self.sen.reaction_indices),
+            "species": list(self.sen.species_names()),
+            "reactions": _sen_reactions(self.sen),
+            "orientation": self.orientation,
+            "kind": "det-opt",
+            "eta": [str(e) for e in self.eta],
+        }
 
 
 def det_opt_condition(
@@ -664,7 +594,7 @@ def _injectivity_stage(net, facts, opts):
         assert report.negative_sen is not None
         return (
             "injectivity fails: negatively oriented relevant square embedded "
-            f"network {_sen_description(report.negative_sen)['reactions']}"
+            f"network {_sen_reactions(report.negative_sen)}"
         )
     report = injectivity_minors(net)
     if report.injective:

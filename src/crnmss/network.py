@@ -285,17 +285,19 @@ def _parse_complex(text: str, names: list[str], name_to_idx: dict[str, int], lin
         coeff = int(m.group(1)) if m.group(1) else 1
         if coeff == 0:
             raise ParseError("zero coefficient is not allowed", line=line)
-        if coeff > MAX_COEFFICIENT:
-            raise ParseError(
-                f"coefficient {coeff} exceeds bound {MAX_COEFFICIENT}",
-                kind="coefficient-overflow",
-                line=line,
-            )
         name = m.group(2)
         if name not in name_to_idx:
             name_to_idx[name] = len(names)
             names.append(name)
-        coeffs[name_to_idx[name]] = coeffs.get(name_to_idx[name], 0) + coeff
+        idx = name_to_idx[name]
+        # a repeated term adds to the species' coefficient, so bound the sum
+        coeffs[idx] = coeffs.get(idx, 0) + coeff
+        if coeffs[idx] > MAX_COEFFICIENT:
+            raise ParseError(
+                f"coefficient {coeffs[idx]} of {name} exceeds bound {MAX_COEFFICIENT}",
+                kind="coefficient-overflow",
+                line=line,
+            )
     return Complex.of(coeffs)
 
 

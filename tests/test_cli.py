@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 
 from crnmss.cli import main
-from crnmss.decide import LimitExceeded
+from crnmss.decide import AnalyzeOptions, LimitExceeded, analyze
 from crnmss.embedding import fully_open_extension
 from crnmss.families import FamilySpec, generate, load_atom
 from crnmss.network import parse_network, render_network
@@ -104,6 +104,35 @@ def test_check_multistationary_json(tmp_path, capsys):
     assert report["verdict"]["status"] == "MULTISTATIONARY"
     assert report["verdict"]["certificate"]["kind"] == "det-opt"
     assert report["structure"]["is_fully_open"] is True
+
+
+def test_schema_lists_exactly_the_certificate_kinds_the_stages_emit():
+    def fully_open(family, m, n):
+        return fully_open_extension(generate(FamilySpec(family, m, n)))
+
+    # one network per kind, each concluded by the stage that emits it
+    cases = [
+        (parse_network("A <-> B"), None),
+        (fully_open("G", 1, 2), None),
+        (parse_network("0 -> 2 S2\n2 S2 + 2 S1 -> S2 + 2 S1"), None),
+        (fully_open("G", 3, 2), None),
+        (fully_open("K", 2, 3), None),
+        (load_atom(2), None),
+        (fully_open("G", 2, 3), None),
+        (parse_network("A -> 0"), None),
+        (load_atom(1), AnalyzeOptions(("numeric",))),
+    ]
+    verdict_schema = report_schema()["properties"]["verdict"]
+    kinds = set()
+    for net, options in cases:
+        verdict = analyze(net, options).verdict.to_json()
+        jsonschema.validate(verdict, verdict_schema)
+        # certificates hold plain JSON values, so a round trip keeps them
+        assert json.loads(json.dumps(verdict)) == verdict
+        kinds.add(verdict["certificate"]["kind"])
+    schema_kinds = verdict_schema["properties"]["certificate"]["anyOf"][1]["properties"]["kind"]
+    assert len(kinds) == len(cases)
+    assert kinds == set(schema_kinds["enum"])
 
 
 def test_check_inconclusive_exits_3(tmp_path, capsys):

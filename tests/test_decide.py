@@ -2,7 +2,6 @@
 
 import json
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -30,8 +29,6 @@ from crnmss.decide import (
     injectivity_signvectors,
     network_facts,
     positive_dependence,
-    subnetwork_lift_obstruction,
-    to_jsonable,
 )
 from crnmss.cli import main
 from crnmss.embedding import find_embedding, fully_open_extension, is_cfstr, is_fully_open
@@ -46,11 +43,6 @@ property_settings = settings(max_examples=150, deadline=None, derandomize=True, 
 
 def k_tilde(m, n):
     return fully_open_extension(generate(FamilySpec("K", m, n)))
-
-
-def test_to_jsonable():
-    data = {"a": Fraction(1, 3), "b": [Fraction(2), "x"], "c": (1, Fraction(5, 2))}
-    assert to_jsonable(data) == {"a": "1/3", "b": ["2", "x"], "c": [1, "5/2"]}
 
 
 def facts_of(text_or_net):
@@ -263,26 +255,6 @@ def test_structure_decides_positive_dependence_without_the_lp(monkeypatch, tmp_p
     assert main(["check", str(path), "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"]["certificate"] == {"kind": "positive-dependence-failure"}
-
-
-def test_subnetwork_lift_obstruction():
-    host = parse_network("A -> B\nB -> C")
-    sub = parse_network("A -> B")
-    v = subnetwork_lift_obstruction(host, sub)
-    assert v is not None
-    assert v.status == NO_POSITIVE_STEADY_STATES
-    assert v.certificate["kind"] == "subnetwork-lift-obstruction"
-    assert v.certificate["removed_reactions"] == [1]
-
-    # removed vector lies in the subnetwork span: no obstruction
-    assert subnetwork_lift_obstruction(parse_network("A <-> B"), sub) is None
-    # equal ranks: no obstruction
-    host2 = parse_network("A -> B\n2 A -> A + B")
-    assert subnetwork_lift_obstruction(host2, sub) is None
-    with pytest.raises(ValueError):
-        subnetwork_lift_obstruction(host, parse_network("A -> C"))
-    with pytest.raises(ValueError):
-        subnetwork_lift_obstruction(host, parse_network("B -> A"))
 
 
 def test_one_reaction_classification():
@@ -534,7 +506,7 @@ def test_check_computes_deficiency_once(tmp_path, monkeypatch, capsys):
 
 
 def test_verdict_to_json():
-    v = Verdict(NOT_MULTISTATIONARY, {"kind": "deficiency-zero", "x": Fraction(1, 2)}, ("n",))
+    v = Verdict(NOT_MULTISTATIONARY, {"kind": "deficiency-zero", "x": "1/2"}, ("n",))
     j = v.to_json()
     assert j == {
         "status": NOT_MULTISTATIONARY,

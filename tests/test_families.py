@@ -2,7 +2,8 @@
 
 import pytest
 
-from crnmss.embedding import is_fully_open, is_relevant
+from crnmss.decide import MULTISTATIONARY, NOT_MULTISTATIONARY, analyze
+from crnmss.embedding import fully_open_extension, is_fully_open, is_relevant
 from crnmss.families import (
     NUM_ATOMS,
     FamilySpec,
@@ -89,6 +90,25 @@ def test_expected_verdicts():
     assert expected_verdict(FamilySpec("K", 1, 3)).multistationary is False
     assert expected_verdict(FamilySpec("K", 2, 3)).note is not None
     assert expected_verdict(FamilySpec("atom-2rxn", 5)).multistationary is True
+
+
+def test_expected_verdicts_agree_with_analyze():
+    # the fully open extensions of G/Gbar/H with m, n <= 5, K(m, n) with
+    # m <= 3 and 2 <= n <= 9, and the atoms: 99 networks
+    specs = [
+        FamilySpec(family, m, n)
+        for family in ("G", "Gbar", "H")
+        for m in range(1, 6)
+        for n in range(1, 6)
+        if (m != n if family != "H" else (m, n) != (1, 1))
+    ]
+    specs += [FamilySpec("K", m, n) for m in range(1, 4) for n in range(2, 10)]
+    specs += [FamilySpec("atom-2rxn", k) for k in range(1, NUM_ATOMS + 1)]
+    assert len(specs) == 99
+    for spec in specs:
+        status = analyze(fully_open_extension(generate(spec))).verdict.status
+        mss = expected_verdict(spec).multistationary
+        assert status == (MULTISTATIONARY if mss else NOT_MULTISTATIONARY), spec
 
 
 def test_one_reaction_fully_open():

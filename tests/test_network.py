@@ -138,6 +138,17 @@ def test_parse_rejects_huge_coefficients():
         parse_network("1000000001 A -> B")
 
 
+def test_parse_bounds_the_merged_coefficient_of_a_repeated_term():
+    with pytest.raises(ParseError) as info:
+        parse_network("A -> B\n600000000 A + 600000000 A -> B")
+    assert info.value.kind == "coefficient-overflow"
+    assert info.value.line == 2
+    assert str(info.value) == "line 2: coefficient 1200000000 of A exceeds bound 1000000000"
+    # a sum that reaches the bound exactly is accepted
+    net = parse_network("500000000 A + 500000000 A -> B")
+    assert net.reactions[0].reactant.items == ((0, 10**9),)
+
+
 def test_render_roundtrip():
     text = "2 A + B -> 3 C\n0 -> A\nC -> 0"
     net = parse_network(text)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crnmss.decide import _sen_description, cfstr_injectivity, injectivity_minors
+from crnmss.decide import _sen_reactions, cfstr_injectivity, injectivity_minors
 from crnmss.embedding import (
     LimitExceeded,
     enumerate_sens,
@@ -180,7 +180,7 @@ def test_sequestration_counterexamples_pinned():
         assert sen.reaction_indices == tuple(range(n))
         assert sen.species_indices == tuple(range(n))
         assert sen.species_names() == tuple(f"X{i}" for i in range(1, n + 1))
-        assert _sen_description(sen)["reactions"] == reactions
+        assert _sen_reactions(sen) == reactions
 
 
 def test_scan_order_pinned_where_reaction_and_species_major_disagree():
