@@ -202,28 +202,28 @@ def _sign_patterns(length: int) -> Iterator[SignVector]:
                 break
 
 
-def _unit_rows(width: int, count: int) -> list[list[int]]:
-    """The unit rows e_0, ..., e_{count-1} of length ``width``."""
-    return [[int(i == j) for i in range(width)] for j in range(count)]
+def _unit_rows(n: int) -> list[list[int]]:
+    """The unit rows e_0, ..., e_{n-1}."""
+    return [[int(i == j) for i in range(n)] for j in range(n)]
 
 
 def _sign_constraints(pattern: SignVector, rows: Sequence[Sequence[int]] | None = None):
-    """Constraints forcing sign(x_i) = pattern_i (scale-normalized to >= 1).
+    """(zero_rows, one_rows) forcing sign(rows_i . x) = pattern_i on a free x,
+    scale-normalized to >= 1.  Without ``rows`` the rows are the unit rows.
 
-    With ``rows`` given, the constraints apply to (rows . x) instead.
+    The free x is written u - v over doubled columns, so each row c becomes
+    (c, -c), and a negative sign is the negated row >= 1.
     """
     if rows is None:
-        rows = _unit_rows(len(pattern), len(pattern))
-    cons = []
-    for i, want in enumerate(pattern):
-        coeffs = list(rows[i])
-        if want > 0:
-            cons.append((coeffs, ">=", 1))
-        elif want < 0:
-            cons.append((coeffs, "<=", -1))
+        rows = _unit_rows(len(pattern))
+    zero_rows, one_rows = [], []
+    for row, want in zip(rows, pattern):
+        split = [*row, *(-c for c in row)]
+        if want == 0:
+            zero_rows.append(split)
         else:
-            cons.append((coeffs, "==", 0))
-    return cons
+            one_rows.append([want * c for c in split])
+    return zero_rows, one_rows
 
 
 def injectivity_signvectors(net: ReactionNetwork) -> InjectivityReport:
@@ -245,15 +245,14 @@ def injectivity_signvectors(net: ReactionNetwork) -> InjectivityReport:
         )
     data = stoich(net)
     gamma_rows, reactant_rows = data.stoich_matrix, data.reactant_matrix  # s x r, r x s
-    gamma_eq = [(row, "==", 0) for row in gamma_rows]
+    gamma_zero, _ = _sign_constraints((0,) * s, rows=gamma_rows)  # Gamma x = 0
 
     def kernel_realizable(tau: SignVector) -> bool:
-        cons = list(gamma_eq) + _sign_constraints(tau)
-        return solve_feasibility(r, cons, free_vars=range(r)).feasible
+        zero_rows, one_rows = _sign_constraints(tau)
+        return solve_feasibility(2 * r, gamma_zero + zero_rows, one_rows).feasible
 
     def subspace_realizable(sigma_pat: SignVector) -> bool:
-        cons = _sign_constraints(sigma_pat, rows=gamma_rows)
-        return solve_feasibility(r, cons, free_vars=range(r)).feasible
+        return solve_feasibility(2 * r, *_sign_constraints(sigma_pat, rows=gamma_rows)).feasible
 
     # sign patterns of kernel vectors; negating the witness x mirrors both
     # patterns at once, so half the tau candidates suffice provided the
@@ -289,10 +288,9 @@ def injectivity_signvectors(net: ReactionNetwork) -> InjectivityReport:
         for sigma_pat in subspace_signs:
             if not image_sign_possible(tau, sigma_pat):
                 continue
-            cons = _sign_constraints(sigma_pat) + _sign_constraints(
-                tau, rows=reactant_rows
-            )
-            if solve_feasibility(s, cons, free_vars=range(s)).feasible:
+            zero_x, one_x = _sign_constraints(sigma_pat)
+            zero_mx, one_mx = _sign_constraints(tau, rows=reactant_rows)
+            if solve_feasibility(2 * s, zero_x + zero_mx, one_x + one_mx).feasible:
                 return InjectivityReport(
                     "sign-vectors", "not-injective", common_sign_vector=tau
                 )
@@ -338,9 +336,7 @@ def positive_dependence(net: ReactionNetwork) -> LPResult:
     silent.
     """
     r = net.num_reactions
-    cons = [(list(row), "==", 0) for row in stoich(net).stoich_matrix]
-    cons += [(e, ">=", 1) for e in _unit_rows(r, r)]
-    return solve_feasibility(r, cons)
+    return solve_feasibility(r, stoich(net).stoich_matrix, _unit_rows(r))
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +459,7 @@ def determinant_optimization(net: ReactionNetwork) -> DetOptCertificate | None:
         # rows are those of -Gamma at the SEN's reactions
         k = len(sen.reactions)
         rows = [[-row[j] for j in sen.reaction_indices] for row in gamma]
-        cons = [(row, ">=", 1) for row in rows] + [(e, ">=", 1) for e in _unit_rows(k, k)]
-        result = solve_feasibility(k, cons)
+        result = solve_feasibility(k, one_rows=rows + _unit_rows(k))
         if result.feasible:
             assert result.witness is not None
             cert = DetOptCertificate(sen, result.witness, value)

@@ -127,13 +127,14 @@ def deficiency(net: ReactionNetwork, classes: dict | None = None) -> DeficiencyR
             reason="some linkage class contains more than one terminal strong linkage class",
         )
     index = net.complex_index()
-    per = []
-    for lc in lclasses:
+
+    def class_rank(lc: list[int]) -> int:
         members = set(lc)
         cols = [j for j, rxn in enumerate(net.reactions) if index[rxn.reactant] in members]
-        gamma = submatrix(data.stoich_matrix, range(net.num_species), cols)
-        # a single linkage class holds the whole matrix, ranked already
-        per.append(len(lc) - 1 - (data.rank if l == 1 else rank_int(gamma)))
+        return rank_int(submatrix(data.stoich_matrix, range(net.num_species), cols))
+
+    # a single linkage class holds the whole matrix, ranked already
+    per = [len(lc) - 1 - (data.rank if l == 1 else class_rank(lc)) for lc in lclasses]
     return DeficiencyReport(
         applicable=True,
         total=p - l - data.rank,

@@ -51,7 +51,6 @@ HALVINGS = 2.0 ** -np.arange(MAX_DAMPING_HALVINGS + 1)
 
 @dataclass(frozen=True)
 class SteadyStateWitness:
-    network: ReactionNetwork
     kappa: tuple[Fraction, ...]
     states: tuple[tuple[float, ...], ...]
     residuals: tuple[float, ...]
@@ -259,7 +258,6 @@ def witness_search(
             stability.append("undetermined")
         states.append(state)
     return SteadyStateWitness(
-        net,
         rates,
         tuple(states),
         tuple(residuals),

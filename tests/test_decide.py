@@ -2,6 +2,7 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -289,6 +290,50 @@ def test_determinant_optimization_sequestration():
     assert determinant_optimization(k_tilde(2, 4)) is None
     with pytest.raises(ValueError):
         determinant_optimization(parse_network("A -> B"))
+
+
+# Fully open networks of the seed-0 atlas benchmark corpus (open6-26,
+# rand4-014-open, open6-34) whose eta is not the all-ones-and-(m + 1) of
+# K(m, n): each eta is the point where the simplex's pivot path stops.
+# Posing the unit rows of the det-opt LP first, or entering Bland's last
+# negative column instead of the first, moves the eta of open6-34.
+PIVOT_PATH_ETA = [
+    (
+        "S1 + 2 S3 -> 3 S1 + 2 S2 + 3 S3\n"
+        "2 S2 + 3 S3 -> 3 S1 + S2 + S3\n"
+        "2 S2 + 3 S3 -> 3 S1 + S2 + 3 S3\n"
+        "S1 + 3 S2 -> 3 S2\n"
+        "3 S1 + S2 -> S1 + S2 + S3\n"
+        "0 -> S1\nS1 -> 0\n0 -> S3\nS3 -> 0\n0 -> S2\nS2 -> 0",
+        (0, 1, 4), -30, (1, 7, 12),
+    ),
+    (
+        "2 S1 + 2 S2 -> 2 S3\n"
+        "2 S2 + 2 S3 -> S2\n"
+        "S1 -> 2 S1\n"
+        "2 S2 -> S1 + 2 S3\n"
+        "0 -> S1\nS1 -> 0\n0 -> S2\nS2 -> 0\n0 -> S3\nS3 -> 0",
+        (0, 1, 2), -24, (1, Fraction(3, 2), 1),
+    ),
+    (
+        "3 S1 + S2 + 2 S3 + 2 S4 + 2 S5 -> 3 S1 + 3 S2 + 2 S3 + 2 S4 + 2 S5\n"
+        "S1 + S2 + S3 + 3 S4 + 2 S5 -> 2 S2 + 3 S3 + 2 S4 + S5\n"
+        "3 S3 + S4 + S5 -> 3 S1 + 2 S2 + S3 + 3 S5\n"
+        "3 S1 + 3 S2 + 3 S3 + 2 S4 -> S1 + S2 + 3 S4 + S5\n"
+        "3 S2 + 2 S3 + S4 -> 3 S1 + 3 S3 + 2 S4\n"
+        "S1 + 2 S2 + 3 S3 + 3 S4 + 2 S5 -> 2 S4 + 3 S5\n"
+        "0 -> S1\nS1 -> 0\n0 -> S2\nS2 -> 0\n0 -> S3\nS3 -> 0\n0 -> S4\nS4 -> 0\n0 -> S5\nS5 -> 0",
+        (0, 1, 2, 3, 4), -890, (1, 9, 1, 6, 1),
+    ),
+]
+
+
+@pytest.mark.parametrize("text, reaction_indices, sign, eta", PIVOT_PATH_ETA)
+def test_determinant_optimization_eta_follows_the_pivot_path(text, reaction_indices, sign, eta):
+    cert = determinant_optimization(parse_network(text))
+    assert cert.sen.reaction_indices == reaction_indices
+    assert cert.orientation == sign
+    assert cert.eta == eta
 
 
 def test_determinant_optimization_needs_all_species_in_nonflow_part():
