@@ -56,29 +56,28 @@ def structural_summary(net: ReactionNetwork, facts: NetworkFacts) -> dict:
         "deficiency": report.total,
         "deficiency_per_class": list(report.per_class) if report.per_class is not None else None,
         "deficiency_applicable": report.applicable,
-        "weakly_reversible": facts.weakly_reversible,
+        "weakly_reversible": report.weakly_reversible,
         "is_cfstr": facts.cfstr,
         "is_fully_open": facts.fully_open,
     }
 
 
-def _print_structure(summary: dict, out) -> None:
-    print(f"species: {summary['num_species']} ({', '.join(summary['species'])})", file=out)
-    print(f"reactions: {summary['num_reactions']}", file=out)
-    print(f"complexes: {summary['num_complexes']}", file=out)
-    print(f"linkage classes: {summary['num_linkage_classes']}", file=out)
-    print(f"rank: {summary['rank']}", file=out)
+def _print_structure(summary: dict) -> None:
+    print(f"species: {summary['num_species']} ({', '.join(summary['species'])})")
+    print(f"reactions: {summary['num_reactions']}")
+    print(f"complexes: {summary['num_complexes']}")
+    print(f"linkage classes: {summary['num_linkage_classes']}")
+    print(f"rank: {summary['rank']}")
     if summary["deficiency_applicable"]:
         print(
             f"deficiency: {summary['deficiency']} "
-            f"(per class: {summary['deficiency_per_class']})",
-            file=out,
+            f"(per class: {summary['deficiency_per_class']})"
         )
     else:
-        print("deficiency: not applicable", file=out)
-    print(f"weakly reversible: {'yes' if summary['weakly_reversible'] else 'no'}", file=out)
-    print(f"cfstr: {'yes' if summary['is_cfstr'] else 'no'}", file=out)
-    print(f"fully open: {'yes' if summary['is_fully_open'] else 'no'}", file=out)
+        print("deficiency: not applicable")
+    print(f"weakly reversible: {'yes' if summary['weakly_reversible'] else 'no'}")
+    print(f"cfstr: {'yes' if summary['is_cfstr'] else 'no'}")
+    print(f"fully open: {'yes' if summary['is_fully_open'] else 'no'}")
 
 
 def cmd_info(args) -> int:
@@ -90,7 +89,7 @@ def cmd_info(args) -> int:
     print("network:")
     for line in render_network(net).splitlines():
         print(f"  {line}")
-    _print_structure(summary, sys.stdout)
+    _print_structure(summary)
     return EXIT_OK
 
 
@@ -115,7 +114,7 @@ def cmd_check(args) -> int:
         print("network:")
         for line in render_network(net).splitlines():
             print(f"  {line}")
-        _print_structure(report["structure"], sys.stdout)
+        _print_structure(report["structure"])
         print(f"verdict: {verdict.status}")
         if verdict.certificate is not None:
             print(f"certificate: {verdict.certificate.get('kind')}")
@@ -152,7 +151,7 @@ def cmd_atoms(args) -> int:
         names = list(net.species_names())
         for match in matches:
             mapped = ", ".join(
-                f"{match.atom.species[i].name}->{names[j]}"
+                f"{match.atom.species[i]}->{names[j]}"
                 for i, j in enumerate(match.witness.species_map)
             )
             print(f"atom {match.atom_id}: species map {mapped}")

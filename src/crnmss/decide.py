@@ -29,7 +29,7 @@ from .embedding import (
 )
 from .lp import LPResult, solve_feasibility
 from .network import ReactionNetwork, render_complex, render_network
-from .structure import DeficiencyReport, deficiency, stoich, terminal_strong_linkage_classes
+from .structure import DeficiencyReport, deficiency, stoich
 
 MULTISTATIONARY = "MULTISTATIONARY"
 NOT_MULTISTATIONARY = "NOT_MULTISTATIONARY"
@@ -72,19 +72,12 @@ class NetworkFacts:
     """The structural facts every stage reads, computed once per analysis."""
 
     deficiency: DeficiencyReport
-    weakly_reversible: bool
     cfstr: bool
     fully_open: bool
 
 
 def network_facts(net: ReactionNetwork) -> NetworkFacts:
-    classes = terminal_strong_linkage_classes(net)
-    return NetworkFacts(
-        deficiency(net, classes),
-        len(classes["strong"]) == len(classes["linkage"]),
-        is_cfstr(net),
-        is_fully_open(net),
-    )
+    return NetworkFacts(deficiency(net), is_cfstr(net), is_fully_open(net))
 
 
 def check_deficiency_zero(facts: NetworkFacts) -> Verdict | str:
@@ -94,7 +87,7 @@ def check_deficiency_zero(facts: NetworkFacts) -> Verdict | str:
         return f"deficiency formula not applicable: {report.reason}"
     if report.total != 0:
         return f"deficiency {report.total}, not zero"
-    if facts.weakly_reversible:
+    if report.weakly_reversible:
         return Verdict(
             NOT_MULTISTATIONARY,
             {
@@ -149,7 +142,6 @@ def check_deficiency_one(facts: NetworkFacts) -> Verdict | str | None:
 
 @dataclass(frozen=True)
 class InjectivityReport:
-    method: str  # "minors" | "sign-vectors" | "cfstr-sen"
     status: str  # "injective" | "not-injective" | "degenerate"
     sign: int | None = None
     conflict: tuple | None = None
@@ -185,10 +177,10 @@ def injectivity_minors(net: ReactionNetwork) -> InjectivityReport:
         if first is None:
             first = pair
         elif (value > 0) != (first[2] > 0):
-            return InjectivityReport("minors", "not-injective", conflict=(first, pair))
+            return InjectivityReport("not-injective", conflict=(first, pair))
     if first is None:
-        return InjectivityReport("minors", "degenerate")
-    return InjectivityReport("minors", "injective", sign=1 if first[2] > 0 else -1)
+        return InjectivityReport("degenerate")
+    return InjectivityReport("injective", sign=1 if first[2] > 0 else -1)
 
 
 def _sign_patterns(length: int) -> Iterator[SignVector]:
@@ -291,10 +283,8 @@ def injectivity_signvectors(net: ReactionNetwork) -> InjectivityReport:
             zero_x, one_x = _sign_constraints(sigma_pat)
             zero_mx, one_mx = _sign_constraints(tau, rows=reactant_rows)
             if solve_feasibility(2 * s, zero_x + zero_mx, one_x + one_mx).feasible:
-                return InjectivityReport(
-                    "sign-vectors", "not-injective", common_sign_vector=tau
-                )
-    return InjectivityReport("sign-vectors", "injective")
+                return InjectivityReport("not-injective", common_sign_vector=tau)
+    return InjectivityReport("injective")
 
 
 def cfstr_injectivity(net: ReactionNetwork) -> InjectivityReport:
@@ -321,8 +311,8 @@ def cfstr_injectivity(net: ReactionNetwork) -> InjectivityReport:
     for k in range(1, min(g0.num_species, g0.num_reactions) + 1):
         for sen in enumerate_sens(g0, k, admit):
             if sen_is_relevant(sen)[0] and orientation(sen) < 0:
-                return InjectivityReport("cfstr-sen", "not-injective", negative_sen=sen)
-    return InjectivityReport("cfstr-sen", "injective")
+                return InjectivityReport("not-injective", negative_sen=sen)
+    return InjectivityReport("injective")
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +546,7 @@ def _positive_dependence_stage(net, facts, opts):
     # reversible: the cycles through every reaction sum to a dependence.
     # A nonzero one-signed row i of Gamma gives (Gamma alpha)_i != 0 for
     # every alpha > 0; a zero row (a species that is only a catalyst) does not.
-    if facts.fully_open or facts.weakly_reversible:
+    if facts.fully_open or facts.deficiency.weakly_reversible:
         holds = True
     elif any(any(row) and (min(row) >= 0 or max(row) <= 0) for row in stoich(net).stoich_matrix):
         holds = False

@@ -59,7 +59,7 @@ def _on_used_species(net: ReactionNetwork, reactions: Sequence[Reaction]) -> Rea
     renamed = tuple(
         Reaction(r.reactant.rename(renumber), r.product.rename(renumber)) for r in reactions
     )
-    return make_network([net.species[i].name for i in used], renamed)
+    return make_network([net.species[i] for i in used], renamed)
 
 
 def embedded_network(net: ReactionNetwork, spec: RemovalSpec) -> ReactionNetwork:
@@ -122,13 +122,13 @@ def _intermediate_complex(net: ReactionNetwork, species_idx: int) -> Complex:
     complexes = net.complexes()
     if mono not in complexes:
         raise ValueError(
-            f"species {net.species[species_idx].name} is not an intermediate: "
+            f"species {net.species[species_idx]} is not an intermediate: "
             "no complex consisting of it alone"
         )
     for cpx in complexes:
         if cpx != mono and cpx.coeff(species_idx) != 0:
             raise ValueError(
-                f"species {net.species[species_idx].name} is not an intermediate: "
+                f"species {net.species[species_idx]} is not an intermediate: "
                 "it appears in another complex"
             )
     return mono
@@ -179,7 +179,7 @@ class SquareEmbeddedNetwork:
         return len(self.species_indices)
 
     def species_names(self) -> tuple[str, ...]:
-        return tuple(self.host.species[i].name for i in self.species_indices)
+        return tuple(self.host.species[i] for i in self.species_indices)
 
 
 def orientation(sen: SquareEmbeddedNetwork) -> int:

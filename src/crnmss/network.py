@@ -51,21 +51,6 @@ class ParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class Species:
-    index: int
-    name: str
-
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError("species index must be non-negative")
-        if not _NAME_RE.fullmatch(self.name):
-            raise ValueError(
-                f"invalid species name {self.name!r}: names are identifier-like "
-                "(letters, digits, underscore, not starting with a digit)"
-            )
-
-
-@dataclass(frozen=True)
 class Complex:
     """Sparse complex: sorted tuple of (species index, positive coefficient)."""
 
@@ -162,16 +147,18 @@ class StoichData:
 
 @dataclass(frozen=True)
 class ReactionNetwork:
-    species: tuple[Species, ...]
+    species: tuple[str, ...]  # names; species i is the name at position i
     reactions: tuple[Reaction, ...]
 
     def __post_init__(self) -> None:
-        names = [sp.name for sp in self.species]
-        if len(set(names)) != len(names):
+        for name in self.species:
+            if not _NAME_RE.fullmatch(name):
+                raise ValueError(
+                    f"invalid species name {name!r}: names are identifier-like "
+                    "(letters, digits, underscore, not starting with a digit)"
+                )
+        if len(set(self.species)) != len(self.species):
             raise ValueError("duplicate species name")
-        for pos, sp in enumerate(self.species):
-            if sp.index != pos:
-                raise ValueError("species indices must match their list position")
         used: set[int] = set()
         seen: set[Reaction] = set()
         for rxn in self.reactions:
@@ -187,7 +174,7 @@ class ReactionNetwork:
             missing = sorted(set(range(len(self.species))) - used)
             raise ValueError(
                 "species appearing in no reaction: "
-                + ", ".join(self.species[i].name for i in missing)
+                + ", ".join(self.species[i] for i in missing)
             )
 
     @property
@@ -199,7 +186,7 @@ class ReactionNetwork:
         return len(self.reactions)
 
     def species_names(self) -> tuple[str, ...]:
-        return tuple(sp.name for sp in self.species)
+        return self.species
 
     @functools.cached_property
     def stoich_data(self) -> StoichData:
@@ -264,8 +251,7 @@ class ReactionNetwork:
 
 
 def make_network(names: Iterable[str], reactions: Iterable[Reaction]) -> ReactionNetwork:
-    species = tuple(Species(i, n) for i, n in enumerate(names))
-    return ReactionNetwork(species, tuple(reactions))
+    return ReactionNetwork(tuple(names), tuple(reactions))
 
 
 def _parse_complex(text: str, names: list[str], name_to_idx: dict[str, int], line: int) -> Complex:
@@ -327,23 +313,17 @@ def parse_network(text: str) -> ReactionNetwork:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "<->" in line:
-            parts = line.split("<->")
-            if len(parts) != 2:
-                raise ParseError("expected exactly one arrow", line=lineno)
-            lhs = _parse_complex(parts[0], names, name_to_idx, lineno)
-            rhs = _parse_complex(parts[1], names, name_to_idx, lineno)
-            add(lhs, rhs, lineno)
-            add(rhs, lhs, lineno)
-        elif "->" in line:
-            parts = line.split("->")
-            if len(parts) != 2:
-                raise ParseError("expected exactly one arrow", line=lineno)
-            lhs = _parse_complex(parts[0], names, name_to_idx, lineno)
-            rhs = _parse_complex(parts[1], names, name_to_idx, lineno)
-            add(lhs, rhs, lineno)
-        else:
+        arrow = "<->" if "<->" in line else "->"
+        parts = line.split(arrow)
+        if len(parts) == 1:
             raise ParseError("missing reaction arrow '->' or '<->'", line=lineno)
+        if len(parts) != 2:
+            raise ParseError("expected exactly one arrow", line=lineno)
+        lhs = _parse_complex(parts[0], names, name_to_idx, lineno)
+        rhs = _parse_complex(parts[1], names, name_to_idx, lineno)
+        add(lhs, rhs, lineno)
+        if arrow == "<->":
+            add(rhs, lhs, lineno)
 
     return make_network(names, reactions)
 

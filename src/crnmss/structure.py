@@ -98,24 +98,25 @@ class DeficiencyReport:
     num_complexes: int
     num_linkage_classes: int
     rank: int
+    weakly_reversible: bool
     reason: str | None = None
 
 
-def deficiency(net: ReactionNetwork, classes: dict | None = None) -> DeficiencyReport:
-    """Deficiency p - l - rank(Gamma), plus per linkage class values.
+def deficiency(net: ReactionNetwork) -> DeficiencyReport:
+    """Deficiency p - l - rank(Gamma), plus per linkage class values, and
+    weak reversibility read off the same linkage classes.
 
     When some linkage class holds more than one terminal strong linkage
     class the formula is not the dimension-gap it is meant to measure, so
-    the report comes back with applicable=False and no numbers.  ``classes``
-    is ``terminal_strong_linkage_classes(net)`` when the caller has it
-    already.
+    the report comes back with applicable=False and no numbers.
     """
     data = stoich(net)
-    if classes is None:
-        classes = terminal_strong_linkage_classes(net)
+    classes = terminal_strong_linkage_classes(net)
     lclasses = classes["linkage"]
-    p = len(net.complexes())
+    index = net.complex_index()
+    p = len(index)
     l = len(lclasses)
+    weakly_reversible = len(classes["strong"]) == l
     if not classes["unique_per_class"]:
         return DeficiencyReport(
             applicable=False,
@@ -124,9 +125,9 @@ def deficiency(net: ReactionNetwork, classes: dict | None = None) -> DeficiencyR
             num_complexes=p,
             num_linkage_classes=l,
             rank=data.rank,
+            weakly_reversible=weakly_reversible,
             reason="some linkage class contains more than one terminal strong linkage class",
         )
-    index = net.complex_index()
 
     def class_rank(lc: list[int]) -> int:
         members = set(lc)
@@ -142,4 +143,5 @@ def deficiency(net: ReactionNetwork, classes: dict | None = None) -> DeficiencyR
         num_complexes=p,
         num_linkage_classes=l,
         rank=data.rank,
+        weakly_reversible=weakly_reversible,
     )

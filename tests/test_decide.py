@@ -91,7 +91,6 @@ def test_deficiency_one():
 
 def test_injectivity_minors_injective():
     rep = injectivity_minors(k_tilde(1, 2))
-    assert rep.method == "minors"
     assert rep.injective
     assert rep.sign in (-1, 1)
 
@@ -142,7 +141,6 @@ def test_cfstr_injectivity():
     with pytest.raises(ValueError):
         cfstr_injectivity(parse_network("A -> B"))
     rep = cfstr_injectivity(k_tilde(2, 4))
-    assert rep.method == "cfstr-sen"
     assert rep.injective
     rep = cfstr_injectivity(k_tilde(2, 3))
     assert rep.status == "not-injective"
@@ -246,7 +244,7 @@ def test_structure_decides_positive_dependence_without_the_lp(monkeypatch, tmp_p
     monkeypatch.setattr(crnmss.decide, "positive_dependence", refuse)
     cycle = parse_network("A + B <-> C\nC -> D\nD -> A + B")
     facts = network_facts(cycle)
-    assert facts.weakly_reversible and not facts.fully_open
+    assert facts.deficiency.weakly_reversible and not facts.fully_open
     for net in [k_tilde(2, 3), cycle] + [atom for _, atom in load_atoms()]:
         assert analyze(net).verdict.status != INCONCLUSIVE
     # one nonpositive row, and no nonnegative one
@@ -527,7 +525,7 @@ def test_network_facts_match_structure_functions():
         net = random_network(rng)
         facts = network_facts(net)
         assert facts.deficiency == deficiency(net)
-        assert facts.weakly_reversible == is_weakly_reversible(net)
+        assert facts.deficiency.weakly_reversible == is_weakly_reversible(net)
         assert facts.cfstr == is_cfstr(net)
         assert facts.fully_open == is_fully_open(net)
 
@@ -537,9 +535,9 @@ def test_check_computes_deficiency_once(tmp_path, monkeypatch, capsys):
 
     calls = []
 
-    def counting(net, *args):
+    def counting(net):
         calls.append(net)
-        return deficiency(net, *args)
+        return deficiency(net)
 
     monkeypatch.setattr(crnmss.decide, "deficiency", counting)
     # runs every stage up to det-opt, leaving notes on the way

@@ -14,7 +14,6 @@ from crnmss.network import (
     ParseError,
     Reaction,
     ReactionNetwork,
-    Species,
     make_network,
     parse_network,
     render_complex,
@@ -133,6 +132,24 @@ def test_parse_errors_carry_line_numbers():
         parse_network("0A -> B")
 
 
+def test_parse_arrow_messages():
+    for text in ("A -> B -> C", "A <-> B <-> C"):
+        with pytest.raises(ParseError) as info:
+            parse_network(text)
+        assert str(info.value) == "line 1: expected exactly one arrow"
+    with pytest.raises(ParseError) as info:
+        parse_network("A B")
+    assert str(info.value) == "line 1: missing reaction arrow '->' or '<->'"
+    # a line holding <-> splits on it alone, so a stray -> lands in a term
+    with pytest.raises(ParseError) as info:
+        parse_network("A <-> B -> C")
+    assert str(info.value) == "line 1: cannot parse term 'B -> C'"
+    with pytest.raises(ParseError) as info:
+        parse_network("A <-> B\nB -> A")
+    assert (info.value.kind, info.value.line) == ("duplicate-reaction", 2)
+    assert str(info.value) == "line 2: duplicate reaction"
+
+
 def test_parse_rejects_huge_coefficients():
     with pytest.raises(ParseError, match="coefficient"):
         parse_network("1000000001 A -> B")
@@ -182,7 +199,7 @@ def test_render_then_parse_round_trip(seed):
     rng.shuffle(order)
     renumber = {old: new for new, old in enumerate(order)}
     shuffled = make_network(
-        [net.species[i].name for i in order],
+        [net.species[i] for i in order],
         [Reaction(r.reactant.rename(renumber), r.product.rename(renumber)) for r in net.reactions],
     )
     spec = RemovalSpec.of(

@@ -77,6 +77,37 @@ def test_weak_reversibility():
     assert not is_weakly_reversible(parse_network("A -> B\nB -> A\nB -> C"))
 
 
+def _returns_along_every_reaction(net) -> bool:
+    """Weak reversibility by its second definition: every reaction y -> y'
+    has a directed path y' -> y in the complex graph."""
+    succ: dict = {}
+    for rxn in net.reactions:
+        succ.setdefault(rxn.reactant, set()).add(rxn.product)
+
+    def reaches(start, goal) -> bool:
+        seen, stack = {start}, [start]
+        while stack:
+            node = stack.pop()
+            if node == goal:
+                return True
+            for nxt in succ.get(node, ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return False
+
+    return all(reaches(rxn.product, rxn.reactant) for rxn in net.reactions)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_deficiency_weak_reversibility_matches_return_paths(seed):
+    # unit coefficients and up to 6 reactions make about a third of these
+    # networks weakly reversible
+    net = random_network(random.Random(seed), max_species=3, max_reactions=6, max_coeff=1)
+    assert deficiency(net).weakly_reversible == _returns_along_every_reaction(net)
+
+
 def test_deficiency_classic_values():
     # single reversible pair: 2 complexes, 1 class, rank 1
     rep = deficiency(parse_network("A <-> B"))
