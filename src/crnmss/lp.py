@@ -1,4 +1,4 @@
-"""Exact rational linear feasibility via phase-1 simplex.
+"""Exact linear feasibility via phase-1 simplex on an integer tableau.
 
 Decides whether {x >= 0 : Z x = 0, O x >= 1} is nonempty for integer
 rows Z and O, and produces an exact rational point when it is.  Every
@@ -14,12 +14,19 @@ starting basis n + i.  Bland's rule enters one only when no structural
 reduced cost is negative: then a positive objective is a Farkas proof of
 infeasibility, and a zero one allows only ratio-0 pivots, so the point is
 the full tableau's.
+
+Row i is kept in integers, d_i > 0 times the rational tableau's row (its
+basic column reads d_i).  A positive scale changes no Bland decision
+(reduced-cost signs, ratios rhs_i / a_i, basis-index tie-breaks), so the
+pivots and the point are the rational tableau's.  As in Bareiss
+elimination, dividing each updated row by its gcd keeps the integers small.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 
@@ -29,37 +36,35 @@ class LPResult:
     witness: tuple[Fraction, ...] | None
 
 
-def _phase1(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+def _phase1(rows: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
     """Feasible point of {y >= 0 : rows . y = rhs} for rhs >= 0, or None."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    tableau = [row + [b] for row, b in zip(rows, rhs)]
-    # last row: phase-1 reduced costs, minus each column's sum; its rhs
-    # entry is minus the sum of the artificial variables
+    m, n = len(rows), len(rows[0]) if rows else 0
+    tableau = [[*row, b] for row, b in zip(rows, rhs)]
+    # last row: minus each column's sum, the phase-1 reduced costs and objective
     tableau.append([-sum(col) for col in zip(*tableau)])
     basis = [n + i for i in range(m)]
-
     while True:
         enter = next((j for j in range(n) if tableau[m][j] < 0), -1)
         if enter == -1:
             break
-        leave = -1
-        best: Fraction | None = None
+        leave, best_rhs, best_a = -1, 0, 1
         for i in range(m):
-            if tableau[i][enter] > 0:
-                ratio = tableau[i][n] / tableau[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+            a = tableau[i][enter]
+            if a > 0:
+                # rhs_i / a against the best ratio so far, cross-multiplied
+                cross = tableau[i][n] * best_a - best_rhs * a
+                if leave == -1 or cross < 0 or (cross == 0 and basis[i] < basis[leave]):
+                    leave, best_rhs, best_a = i, tableau[i][n], a
         if leave == -1:
             # phase-1 objective is bounded below by 0, so this cannot happen
             raise RuntimeError("unbounded phase-1 problem")
-        piv = tableau[leave][enter]
-        tableau[leave] = [v / piv for v in tableau[leave]]
+        pivot_row, piv = tableau[leave], tableau[leave][enter]
         for i in range(m + 1):
-            if i != leave and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                tableau[i] = [a - f * b for a, b in zip(tableau[i], tableau[leave])]
+            f = tableau[i][enter]
+            if i != leave and f != 0:
+                row = [piv * a - f * b for a, b in zip(tableau[i], pivot_row)]
+                g = gcd(*row)
+                tableau[i] = [v // g for v in row] if g > 1 else row
         basis[leave] = enter
 
     if tableau[m][n] != 0:
@@ -67,7 +72,7 @@ def _phase1(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] |
     point = [Fraction(0)] * n
     for i, b in enumerate(basis):
         if b < n:
-            point[b] = tableau[i][n]
+            point[b] = Fraction(tableau[i][n], tableau[i][b])
     return point
 
 
@@ -76,8 +81,7 @@ def solve_feasibility(
     zero_rows: Sequence[Sequence[int]] = (),
     one_rows: Sequence[Sequence[int]] = (),
 ) -> LPResult:
-    """Feasibility of {x >= 0 : Z x = 0, O x >= 1}, Z the zero rows and O
-    the one rows."""
+    """Feasibility of {x >= 0 : Z x = 0, O x >= 1}, Z the zero and O the one rows."""
     given = [*zero_rows, *one_rows]
     for row in given:
         if len(row) != num_vars:
@@ -86,13 +90,9 @@ def solve_feasibility(
             raise ValueError("coefficients must be integers")
     # columns: the variables, then one -1 surplus column per one row
     n_zero, n_one = len(zero_rows), len(one_rows)
-    rows = [[Fraction(c) for c in row] + [Fraction(-(i == n_zero + k)) for k in range(n_one)]
-            for i, row in enumerate(given)]
-    rhs = [Fraction(0)] * n_zero + [Fraction(1)] * n_one
-    point = _phase1(rows, rhs) if rows else [Fraction(0)] * num_vars
-    if point is None:
-        return LPResult(False, None)
-    return LPResult(True, tuple(point[:num_vars]))
+    rows = [[*row, *(-(i == n_zero + k) for k in range(n_one))] for i, row in enumerate(given)]
+    point = _phase1(rows, [0] * n_zero + [1] * n_one) if rows else [Fraction(0)] * num_vars
+    return LPResult(False, None) if point is None else LPResult(True, tuple(point[:num_vars]))
 
 
 def check_witness(

@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .linalg import rank_int
@@ -227,8 +228,11 @@ class ReactionNetwork:
                     out.append(cpx)
         return tuple(out)
 
-    def complex_index(self) -> dict[Complex, int]:
-        return {cpx: i for i, cpx in enumerate(self.complexes())}
+    @functools.cached_property
+    def complex_index(self) -> Mapping[Complex, int]:
+        """Each complex's position in ``complexes()``, read-only and built
+        once per network; equality and hashing ignore it."""
+        return MappingProxyType({cpx: i for i, cpx in enumerate(self.complexes())})
 
     def max_coefficient(self) -> int:
         best = 0

@@ -19,7 +19,7 @@ def stoich(net: ReactionNetwork) -> StoichData:
 
 
 def _complex_graph(net: ReactionNetwork) -> tuple[int, list[tuple[int, int]]]:
-    index = net.complex_index()
+    index = net.complex_index
     edges = [(index[r.reactant], index[r.product]) for r in net.reactions]
     return len(index), edges
 
@@ -113,7 +113,7 @@ def deficiency(net: ReactionNetwork) -> DeficiencyReport:
     data = stoich(net)
     classes = terminal_strong_linkage_classes(net)
     lclasses = classes["linkage"]
-    index = net.complex_index()
+    index = net.complex_index
     p = len(index)
     l = len(lclasses)
     weakly_reversible = len(classes["strong"]) == l

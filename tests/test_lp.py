@@ -1,5 +1,7 @@
 """Tests for the exact rational feasibility solver."""
 
+import copy
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -9,7 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crnmss import lp
+from crnmss.decide import positive_dependence
 from crnmss.lp import check_witness, solve_feasibility
+from crnmss.network import parse_network
+from crnmss.structure import stoich
 
 
 def test_simple_feasible_system():
@@ -94,6 +99,57 @@ def test_inconsistent_equalities():
     assert x == z and y == z and x + y >= 1
 
 
+def fraction_tableau_phase1(rows, rhs):
+    """Phase 1 on a ``Fraction`` tableau, each row normalized by its pivot.
+
+    The solver's integer tableau keeps every row at a positive multiple of
+    this one's, so both must take the same pivots to the same point.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    tableau = [row + [b] for row, b in zip(rows, rhs)]
+    tableau.append([-sum(col) for col in zip(*tableau)])
+    basis = [n + i for i in range(m)]
+
+    while True:
+        enter = next((j for j in range(n) if tableau[m][j] < 0), -1)
+        if enter == -1:
+            break
+        leave = -1
+        best = None
+        for i in range(m):
+            if tableau[i][enter] > 0:
+                ratio = tableau[i][n] / tableau[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        piv = tableau[leave][enter]
+        tableau[leave] = [v / piv for v in tableau[leave]]
+        for i in range(m + 1):
+            if i != leave and tableau[i][enter] != 0:
+                f = tableau[i][enter]
+                tableau[i] = [a - f * b for a, b in zip(tableau[i], tableau[leave])]
+        basis[leave] = enter
+
+    if tableau[m][n] != 0:
+        return None
+    point = [Fraction(0)] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            point[b] = tableau[i][n]
+    return point
+
+
+def on_fractions(reference):
+    """``reference`` as a stand-in for ``lp._phase1``: the solver hands its
+    phase 1 integer rows, which a ``Fraction`` tableau must convert first."""
+
+    def phase1(rows, rhs):
+        return reference([[Fraction(c) for c in row] for row in rows], [Fraction(b) for b in rhs])
+
+    return phase1
+
+
 def full_tableau_phase1(rows, rhs, reentries):
     """Phase 1 with one artificial column per row kept in the tableau.
 
@@ -161,6 +217,91 @@ def lp_systems(draw):
     return nv, zero_rows, one_rows
 
 
+# the leaving tie-break on basis indices decides this witness
+TIE_BREAK_SYSTEM = (6, [[0, 2, -2, 2, 1, 0], [2, 2, -2, -2, -2, -2]], [
+    [-3, 2, 2, -2, 1, 3], [1, 0, 0, 0, 0, -1], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0],
+])
+# coefficients near the parser's bound of 10^9, with several pivots
+LARGE_SYSTEM = (4, [[10**9, -999_999_937, 3, -(10**9 - 7)]], [
+    [999_999_929, 2, -10**9, 5], [-7, 10**9 - 1, 999_999_893, -2],
+    [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
+])
+
+
+def test_integer_tableau_matches_the_fraction_tableau():
+    reference = on_fractions(fraction_tableau_phase1)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(lp_systems())
+    @example(TIE_BREAK_SYSTEM)
+    @example(LARGE_SYSTEM)
+    def check(system):
+        got = solve_feasibility(*system)
+        with mock.patch.object(lp, "_phase1", reference):
+            want = solve_feasibility(*system)
+        assert got == want
+
+    check()
+
+
+def test_integer_tableau_stays_within_the_hadamard_bound():
+    """An updated row divided by its gcd is a vector of minors of the input
+    [rows | I | rhs] over a common factor, so every integer the point is
+    read from is at most that matrix's Hadamard bound.  Without the gcd
+    division the row scales multiply up pivot after pivot."""
+    phase1, inputs, reads = lp._phase1, [], []
+
+    def recording_phase1(rows, rhs):
+        inputs.append((rows, rhs))
+        return phase1(rows, rhs)
+
+    def recording_fraction(*args):
+        reads.append(args)
+        return Fraction(*args)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(lp_systems())
+    @example(LARGE_SYSTEM)
+    def check(system):
+        inputs.clear()
+        reads.clear()
+        with mock.patch.object(lp, "_phase1", recording_phase1), \
+                mock.patch.object(lp, "Fraction", recording_fraction):
+            solve_feasibility(*system)
+        for rows, rhs in inputs:  # none without rows
+            bound_sq = math.prod(sum(c * c for c in row) + b * b + 1 for row, b in zip(rows, rhs))
+            assert all(v * v <= bound_sq for args in reads for v in args)
+
+    check()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(lp_systems())
+@example(LARGE_SYSTEM)
+def test_solver_leaves_its_rows_alone_and_returns_reduced_fractions(system):
+    nv, zero_rows, one_rows = system
+    before = copy.deepcopy((zero_rows, one_rows))
+    res = solve_feasibility(nv, zero_rows, one_rows)
+    assert (zero_rows, one_rows) == before
+    if res.feasible:
+        assert all(type(x) is Fraction for x in res.witness)
+        assert all(x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1
+                   for x in res.witness)
+        assert check_witness(res.witness, zero_rows, one_rows)
+
+
+def test_solver_takes_the_cached_stoichiometric_rows_as_they_are():
+    # positive_dependence hands the network's cached Gamma, a tuple of tuples
+    net = parse_network("A -> B\nB -> C\nC -> A\n2 A -> A + B")
+    gamma = stoich(net).stoich_matrix
+    before = copy.deepcopy(gamma)
+    first, second = positive_dependence(net), positive_dependence(net)
+    assert first.feasible and first == second
+    assert stoich(net).stoich_matrix is gamma and gamma == before
+    assert all(type(x) is Fraction for x in first.witness)
+    assert check_witness(first.witness, gamma, [[int(i == j) for i in range(4)] for j in range(4)])
+
+
 def test_structural_tableau_matches_the_full_tableau():
     reentries = [0]
 
@@ -169,13 +310,10 @@ def test_structural_tableau_matches_the_full_tableau():
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(lp_systems())
-    # the leaving tie-break on basis indices decides this witness
-    @example((6, [[0, 2, -2, 2, 1, 0], [2, 2, -2, -2, -2, -2]], [
-        [-3, 2, 2, -2, 1, 3], [1, 0, 0, 0, 0, -1], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0],
-    ]))
+    @example(TIE_BREAK_SYSTEM)
     def check(system):
         got = solve_feasibility(*system)
-        with mock.patch.object(lp, "_phase1", reference):
+        with mock.patch.object(lp, "_phase1", on_fractions(reference)):
             want = solve_feasibility(*system)
         assert got == want
 

@@ -189,6 +189,27 @@ def test_network_facts_builds_the_complex_graph_at_most_twice(monkeypatch):
     assert len(calls) <= 2
 
 
+def test_network_facts_lists_the_complexes_once(monkeypatch):
+    from crnmss.decide import network_facts
+    from crnmss.network import ReactionNetwork
+
+    calls = []
+    listing = ReactionNetwork.complexes
+
+    def counting(net):
+        calls.append(net)
+        return listing(net)
+
+    monkeypatch.setattr(ReactionNetwork, "complexes", counting)
+    net = parse_network("A -> B\nB -> A\nB -> C\n2 C <-> D")
+    facts = network_facts(net)
+    assert len(calls) == 1
+    assert facts.deficiency.num_complexes == 5
+    # the cached index is not part of the network's value
+    assert net == parse_network("A -> B\nB -> A\nB -> C\n2 C <-> D")
+    assert hash(net) == hash(parse_network("A -> B\nB -> A\nB -> C\n2 C <-> D"))
+
+
 @pytest.mark.parametrize("length", [5, 50])
 def test_network_facts_ranks_a_single_linkage_class_once(monkeypatch, length):
     import crnmss.network
