@@ -1,8 +1,10 @@
 """Command line front end.
 
 Subcommands: info, check, atoms, generate, witness.  Exit codes:
-0 success/conclusive, 2 input error, 3 inconclusive or nothing found,
-4 an enumeration exceeded its work bound (the message names the stage).
+0 success, 2 input error, 3 an INCONCLUSIVE check, no embedded atom for
+atoms, or no rates found by witness --search, 4 an enumeration exceeded
+its work bound (the message names the stage).  witness --kappa exits 0
+on valid input even when it finds no steady state.
 """
 
 from __future__ import annotations

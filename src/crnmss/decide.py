@@ -28,7 +28,7 @@ from .embedding import (
     sen_is_relevant,
 )
 from .lp import LPResult, solve_feasibility
-from .network import ReactionNetwork, render_complex, render_network
+from .network import ReactionNetwork, render_network, render_reaction
 from .structure import DeficiencyReport, deficiency, stoich
 
 MULTISTATIONARY = "MULTISTATIONARY"
@@ -57,10 +57,7 @@ class Verdict:
 
 def _sen_reactions(sen: SquareEmbeddedNetwork) -> list[str]:
     names = sen.host.species_names()
-    return [
-        f"{render_complex(r.reactant, names)} -> {render_complex(r.product, names)}"
-        for r in sen.reactions
-    ]
+    return [render_reaction(r, names) for r in sen.reactions]
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +338,6 @@ class OneReactionClassification:
     forward_sum: int
     backward_sum: int
     multistationary: bool
-
-    def __bool__(self) -> bool:
-        return self.multistationary
 
 
 def classify_one_nonflow_fully_open(

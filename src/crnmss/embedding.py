@@ -174,10 +174,6 @@ class SquareEmbeddedNetwork:
     species_indices: tuple[int, ...]
     reactions: tuple[Reaction, ...]  # restricted, still in host species indexing
 
-    @property
-    def size(self) -> int:
-        return len(self.species_indices)
-
     def species_names(self) -> tuple[str, ...]:
         return tuple(self.host.species[i] for i in self.species_indices)
 

@@ -131,24 +131,3 @@ def expected_verdict(spec: FamilySpec) -> ExpectedVerdict:
         multistable=None,
         source="two-reaction atom classification",
     )
-
-
-def one_reaction_fully_open(
-    a: tuple[int, ...] | list[int], b: tuple[int, ...] | list[int], reversible: bool = False
-) -> ReactionNetwork:
-    """The fully open network whose sole non-flow reaction is a.X -> b.X."""
-    if len(a) != len(b) or not a:
-        raise ValueError("reactant and product vectors must have equal positive length")
-    if any(v < 0 for v in a) or any(v < 0 for v in b):
-        raise ValueError("stoichiometric coefficients must be non-negative")
-    if tuple(a) == tuple(b):
-        raise ValueError("trivial reaction: reactant equals product")
-    names = [f"X{i + 1}" for i in range(len(a))]
-
-    def side(vec: tuple[int, ...] | list[int]) -> str:
-        terms = [f"{c} {names[i]}" for i, c in enumerate(vec) if c]
-        return " + ".join(terms) if terms else "0"
-
-    lines = [f"0 <-> {name}" for name in names]
-    lines.append(f"{side(a)} {'<->' if reversible else '->'} {side(b)}")
-    return parse_network("\n".join(lines))

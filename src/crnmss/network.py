@@ -69,15 +69,9 @@ class Complex:
             prev = idx
 
     @classmethod
-    def of(cls, coeffs: Mapping[int, int] | Iterable[tuple[int, int]]) -> "Complex":
-        if isinstance(coeffs, Mapping):
-            pairs = coeffs.items()
-        else:
-            pairs = coeffs
-        merged: dict[int, int] = {}
-        for idx, coeff in pairs:
-            merged[idx] = merged.get(idx, 0) + coeff
-        return cls(tuple(sorted((i, c) for i, c in merged.items() if c != 0)))
+    def of(cls, coeffs: Mapping[int, int]) -> "Complex":
+        """The complex with these coefficients by species index; zeros drop."""
+        return cls(tuple(sorted((i, c) for i, c in coeffs.items() if c != 0)))
 
     @property
     def is_zero(self) -> bool:
@@ -234,14 +228,6 @@ class ReactionNetwork:
         once per network; equality and hashing ignore it."""
         return MappingProxyType({cpx: i for i, cpx in enumerate(self.complexes())})
 
-    def max_coefficient(self) -> int:
-        best = 0
-        for rxn in self.reactions:
-            for cpx in rxn.complexes():
-                for _, c in cpx:
-                    best = max(best, c)
-        return best
-
     def __eq__(self, other: object) -> bool:
         # Reaction order is irrelevant; species order (and names) matter.
         if not isinstance(other, ReactionNetwork):
@@ -341,11 +327,12 @@ def render_complex(cpx: Complex, names: tuple[str, ...] | list[str]) -> str:
     return " + ".join(parts)
 
 
+def render_reaction(rxn: Reaction, names: tuple[str, ...] | list[str]) -> str:
+    """One directed reaction in the text format, e.g. ``A + B -> 2 A``."""
+    return f"{render_complex(rxn.reactant, names)} -> {render_complex(rxn.product, names)}"
+
+
 def render_network(net: ReactionNetwork) -> str:
     """Canonical text: one directed reaction per line, in stored order."""
     names = net.species_names()
-    lines = [
-        f"{render_complex(r.reactant, names)} -> {render_complex(r.product, names)}"
-        for r in net.reactions
-    ]
-    return "\n".join(lines)
+    return "\n".join(render_reaction(r, names) for r in net.reactions)

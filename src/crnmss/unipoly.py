@@ -125,13 +125,6 @@ def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
-def count_roots_in(chain: Sequence[UniPoly], a: Fraction, b: Fraction) -> int:
-    """Distinct real roots of chain[0] in the half-open interval (a, b]."""
-    va = _variations([_sign(q(a)) for q in chain])
-    vb = _variations([_sign(q(b)) for q in chain])
-    return va - vb
-
-
 def positive_root_count(p: UniPoly) -> tuple[int, bool]:
     """(number of distinct positive real roots, all of them simple?).
 
@@ -155,38 +148,6 @@ def positive_root_count(p: UniPoly) -> tuple[int, bool]:
         # the final chain element is gcd(p, p') up to a positive factor
         simple = positive_root_count(tail)[0] == 0
     return count, simple
-
-
-def cauchy_positive_bound(p: UniPoly) -> Fraction:
-    """A rational B with every positive root strictly below B."""
-    lead = abs(p.leading())
-    top = max((abs(c) for c in p.coeffs[:-1]), default=Fraction(0))
-    return Fraction(1) + top / lead
-
-
-def isolate_positive_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint rational intervals (a, b], one distinct positive root each."""
-    reduced, _ = p.shift_down()
-    if reduced.degree < 1:
-        return []
-    chain = sturm_sequence(reduced)
-    hi = cauchy_positive_bound(reduced)
-    total = count_roots_in(chain, Fraction(0), hi)
-    out: list[tuple[Fraction, Fraction]] = []
-    stack = [(Fraction(0), hi, total)]
-    while stack:
-        a, b, n = stack.pop()
-        if n == 0:
-            continue
-        if n == 1:
-            out.append((a, b))
-            continue
-        mid = (a + b) / 2
-        left = count_roots_in(chain, a, mid)
-        stack.append((mid, b, n - left))
-        stack.append((a, mid, left))
-    out.sort()
-    return out
 
 
 def stable_positive_root_count(p: UniPoly) -> tuple[int, int]:

@@ -11,7 +11,6 @@ from crnmss.families import (
     generate,
     load_atom,
     load_atoms,
-    one_reaction_fully_open,
 )
 from crnmss.network import render_network
 
@@ -109,16 +108,3 @@ def test_expected_verdicts_agree_with_analyze():
         status = analyze(fully_open_extension(generate(spec))).verdict.status
         mss = expected_verdict(spec).multistationary
         assert status == (MULTISTATIONARY if mss else NOT_MULTISTATIONARY), spec
-
-
-def test_one_reaction_fully_open():
-    net = one_reaction_fully_open((1, 1), (2, 0))
-    assert render_network(net) == "0 -> X1\nX1 -> 0\n0 -> X2\nX2 -> 0\nX1 + X2 -> 2 X1"
-    rev = one_reaction_fully_open((1, 0), (0, 2), reversible=True)
-    assert rev.num_reactions == 6
-    with pytest.raises(ValueError):
-        one_reaction_fully_open((1,), (1,))
-    with pytest.raises(ValueError):
-        one_reaction_fully_open((1, 0), (1,))
-    with pytest.raises(ValueError):
-        one_reaction_fully_open((-1, 0), (0, 1))

@@ -7,10 +7,7 @@ import pytest
 
 from crnmss.unipoly import (
     UniPoly,
-    cauchy_positive_bound,
-    count_roots_in,
     family_polynomial,
-    isolate_positive_roots,
     multistable_rates,
     positive_root_count,
     stable_positive_root_count,
@@ -69,15 +66,6 @@ def test_sturm_sequence_shape():
         sturm_sequence(UniPoly.of([]))
 
 
-def test_count_roots_in_known_cubic():
-    chain = sturm_sequence(poly_from_roots([1, 2, 3]))
-    assert count_roots_in(chain, Fraction(0), Fraction(10)) == 3
-    assert count_roots_in(chain, Fraction(0), Fraction(5, 2)) == 2
-    # half-open (a, b]: the root at 1 is counted by intervals ending there
-    assert count_roots_in(chain, Fraction(0), Fraction(1)) == 1
-    assert count_roots_in(chain, Fraction(1), Fraction(3)) == 2
-
-
 def test_positive_root_count_known_cases():
     assert positive_root_count(poly_from_roots([1, 2, 3])) == (3, True)
     assert positive_root_count(poly_from_roots([-1, -2])) == (0, True)
@@ -111,23 +99,6 @@ def test_positive_root_count_against_constructed_roots():
         count, simple = positive_root_count(p)
         assert count == expected
         assert simple == expected_simple
-
-
-def test_cauchy_bound_dominates_roots():
-    p = poly_from_roots([1, 5, Fraction(19, 2)])
-    assert cauchy_positive_bound(p) > Fraction(19, 2)
-
-
-def test_isolate_positive_roots():
-    roots = [Fraction(1, 2), Fraction(3), Fraction(7)]
-    p = poly_from_roots(roots + [-2])
-    intervals = isolate_positive_roots(p)
-    assert len(intervals) == 3
-    for (a, b), r in zip(intervals, roots):
-        assert a < r <= b
-    for (_, b1), (a2, _) in zip(intervals, intervals[1:]):
-        assert b1 <= a2
-    assert isolate_positive_roots(poly_from_roots([-1, -4])) == []
 
 
 def test_stable_positive_root_count():
