@@ -15,9 +15,7 @@ import sys
 from fractions import Fraction
 
 from .decide import (
-    DEFAULT_STAGES,
     INCONCLUSIVE,
-    AnalyzeOptions,
     LimitExceeded,
     NetworkFacts,
     analyze,
@@ -101,8 +99,7 @@ def cmd_check(args) -> int:
     net = _read_network(args.path)
     if args.fully_open:
         net = fully_open_extension(net)
-    stages = DEFAULT_STAGES if args.no_numeric else DEFAULT_STAGES + ("numeric",)
-    result = analyze(net, AnalyzeOptions(stages, args.budget, args.seed))
+    result = analyze(net, numeric=not args.no_numeric, budget=args.budget, seed=args.seed)
     verdict = result.verdict
     report = {
         "network": render_network(net),
@@ -189,6 +186,13 @@ def _print_witness(witness) -> None:
         print(f"  [{coords}]  {tag}, {stab}, residual {res:.2e}")
 
 
+def _rate(index: int, text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"rate constant {index} is not a rational number: {text!r}") from None
+
+
 def cmd_witness(args) -> int:
     net = _read_network(args.path)
     if args.fully_open:
@@ -198,7 +202,7 @@ def cmd_witness(args) -> int:
             raise ValueError(
                 f"expected {net.num_reactions} rate constants, got {len(args.kappa)}"
             )
-        kappa = [Fraction(v) for v in args.kappa]
+        kappa = [_rate(i, text) for i, text in enumerate(args.kappa, start=1)]
         witness = witness_search(net, kappa, seed=args.seed)
     else:
         witness = rate_search(net, budget=args.budget, seed=args.seed)
@@ -279,9 +283,6 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except LimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT

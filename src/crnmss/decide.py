@@ -141,9 +141,7 @@ def check_deficiency_one(facts: NetworkFacts) -> Verdict | str | None:
 class InjectivityReport:
     status: str  # "injective" | "not-injective" | "degenerate"
     sign: int | None = None
-    conflict: tuple | None = None
     negative_sen: SquareEmbeddedNetwork | None = None
-    common_sign_vector: SignVector | None = None
 
     @property
     def injective(self) -> bool:
@@ -157,27 +155,26 @@ def injectivity_minors(net: ReactionNetwork) -> InjectivityReport:
     is (-1)^k times the orientation of the square embedded network that R
     restricted to S forms; a pair with a trivial or repeated restriction
     has a zero or repeated column of Gamma[S,R], so its product is 0.  The
-    scan therefore reads the rank-size ``enumerate_sens`` stream, stops at
-    the first product of the other sign, and reports a ``conflict`` of
-    two (species, reactions, value) triples in stream order.  The all-zero
-    outcome, which includes rank 0, is reported as "degenerate" and
-    treated as not injective by callers.  The work bound of
-    ``enumerate_sens`` applies; past it the scan raises ``LimitExceeded``.
+    scan therefore reads the rank-size ``enumerate_sens`` stream, keeps the
+    sign of the first nonzero product and stops at the first product of
+    the other sign.  The all-zero outcome, which includes rank 0, is
+    reported as "degenerate" and treated as not injective by callers.  The
+    work bound of ``enumerate_sens`` applies; past it the scan raises
+    ``LimitExceeded``.
     """
     k = stoich(net).rank
-    first: tuple | None = None
+    sign = 0
     for sen in enumerate_sens(net, k):
         value = (-1) ** k * orientation(sen)
         if value == 0:
             continue
-        pair = (sen.species_indices, sen.reaction_indices, value)
-        if first is None:
-            first = pair
-        elif (value > 0) != (first[2] > 0):
-            return InjectivityReport("not-injective", conflict=(first, pair))
-    if first is None:
+        if not sign:
+            sign = 1 if value > 0 else -1
+        elif value * sign < 0:
+            return InjectivityReport("not-injective")
+    if not sign:
         return InjectivityReport("degenerate")
-    return InjectivityReport("injective", sign=1 if first[2] > 0 else -1)
+    return InjectivityReport("injective", sign=sign)
 
 
 def _sign_patterns(length: int) -> Iterator[SignVector]:
@@ -257,30 +254,12 @@ def injectivity_signvectors(net: ReactionNetwork) -> InjectivityReport:
             subspace_signs.append(pat)
             subspace_signs.append(tuple(-v for v in pat))
 
-    def image_sign_possible(tau: SignVector, sigma_pat: SignVector) -> bool:
-        # reactant matrix is nonnegative: a quick per-row possibility filter
-        for k_row in range(r):
-            pos = any(
-                reactant_rows[k_row][i] > 0 and sigma_pat[i] > 0 for i in range(s)
-            )
-            neg = any(
-                reactant_rows[k_row][i] > 0 and sigma_pat[i] < 0 for i in range(s)
-            )
-            if pos and neg:
-                continue
-            forced = 1 if pos else (-1 if neg else 0)
-            if tau[k_row] != forced:
-                return False
-        return True
-
     for tau in kernel_taus:
         for sigma_pat in subspace_signs:
-            if not image_sign_possible(tau, sigma_pat):
-                continue
             zero_x, one_x = _sign_constraints(sigma_pat)
             zero_mx, one_mx = _sign_constraints(tau, rows=reactant_rows)
             if solve_feasibility(2 * s, zero_x + zero_mx, one_x + one_mx).feasible:
-                return InjectivityReport("not-injective", common_sign_vector=tau)
+                return InjectivityReport("not-injective")
     return InjectivityReport("injective")
 
 
@@ -521,9 +500,10 @@ def atom_db_search(net: ReactionNetwork) -> AtomMatch | None:
 # ---------------------------------------------------------------------------
 # the pipeline
 #
-# A stage maps (net, facts, options) to a Verdict or AnalysisResult when it
-# concludes, to a note when it does not, or to None when it has nothing to
-# say.  Stages call the layer functions through this module's globals.
+# A stage maps (net, facts) to a Verdict when it concludes, to a note when
+# it does not, or to None when it has nothing to say; the numeric stage also
+# takes a budget and a seed, and concludes with an AnalysisResult.  Stages
+# call the layer functions through this module's globals.
 
 
 @dataclass
@@ -533,7 +513,7 @@ class AnalysisResult:
     facts: NetworkFacts | None = None
 
 
-def _positive_dependence_stage(net, facts, opts):
+def _positive_dependence_stage(net, facts):
     # Structure decides most networks without the LP.  Fully open: alpha = 1
     # on every other reaction leaves a net change d, and outflow_i =
     # 1 + max(0, d_i), inflow_i = outflow_i - d_i cancel it.  Weakly
@@ -558,7 +538,7 @@ def _positive_dependence_stage(net, facts, opts):
     )
 
 
-def _injectivity_stage(net, facts, opts):
+def _injectivity_stage(net, facts):
     if facts.cfstr:
         report = cfstr_injectivity(net)
         if report.injective:
@@ -590,7 +570,7 @@ def _injectivity_stage(net, facts, opts):
     return "injectivity fails: minor products of both signs exist"
 
 
-def _one_reaction_stage(net, facts, opts):
+def _one_reaction_stage(net, facts):
     shape = _single_nonflow_shape(net)
     if shape is None or not facts.fully_open:
         return None
@@ -606,7 +586,7 @@ def _one_reaction_stage(net, facts, opts):
     return Verdict(MULTISTATIONARY if cls.multistationary else NOT_MULTISTATIONARY, cert)
 
 
-def _det_opt_stage(net, facts, opts):
+def _det_opt_stage(net, facts):
     if not facts.cfstr:
         return None
     cert = determinant_optimization(net)
@@ -620,7 +600,7 @@ def _det_opt_stage(net, facts, opts):
     )
 
 
-def _atom_search_stage(net, facts, opts):
+def _atom_search_stage(net, facts):
     if not facts.fully_open:
         return "atom search skipped: network is not fully open"
     match = atom_db_search(net)
@@ -629,14 +609,14 @@ def _atom_search_stage(net, facts, opts):
     return Verdict(MULTISTATIONARY, {**match.to_json(), "kind": "atom-embedding"})
 
 
-def _numeric_stage(net, facts, opts):
+def _numeric_stage(net, facts, budget, seed):
     if not facts.fully_open:
         return "numeric search skipped: network is not fully open"
     from . import witness
 
-    found = witness.rate_search(net, budget=opts.budget, seed=opts.seed)
+    found = witness.rate_search(net, budget=budget, seed=seed)
     if found is None or found.count_nondegenerate() < 2:
-        return f"numeric search found no multiple steady states within budget {opts.budget}"
+        return f"numeric search found no multiple steady states within budget {budget}"
     cert = {
         "kind": "numeric-witness",
         "states": len(found.states),
@@ -645,42 +625,34 @@ def _numeric_stage(net, facts, opts):
     return AnalysisResult(Verdict(MULTISTATIONARY, cert), witness=found)
 
 
-STAGES: dict[str, Callable] = {
+# the exact stages, cheapest first
+STAGES: dict[str, Callable[[ReactionNetwork, NetworkFacts], Verdict | str | None]] = {
     "positive-dependence": _positive_dependence_stage,
-    "deficiency-zero": lambda net, facts, opts: check_deficiency_zero(facts),
-    "deficiency-one": lambda net, facts, opts: check_deficiency_one(facts),
+    "deficiency-zero": lambda net, facts: check_deficiency_zero(facts),
+    "deficiency-one": lambda net, facts: check_deficiency_one(facts),
     "injectivity": _injectivity_stage,
     "one-reaction": _one_reaction_stage,
     "det-opt": _det_opt_stage,
     "atom-search": _atom_search_stage,
-    "numeric": _numeric_stage,
 }
 
-# the numeric stage runs only when listed explicitly
-DEFAULT_STAGES = tuple(name for name in STAGES if name != "numeric")
 
-
-@dataclass(frozen=True)
-class AnalyzeOptions:
-    stages: tuple[str, ...] = DEFAULT_STAGES
-    budget: int = 200
-    seed: int = 0
-
-
-def analyze(net: ReactionNetwork, options: AnalyzeOptions | None = None) -> AnalysisResult:
-    """Run the listed stages in order; the first conclusive stage wins.
+def analyze(
+    net: ReactionNetwork, *, numeric: bool = False, budget: int = 200, seed: int = 0
+) -> AnalysisResult:
+    """Run the exact stages in order, then the numeric stage when ``numeric``
+    is true; the first conclusive stage wins.
 
     A stage past a work bound raises ``LimitExceeded`` with its name first.
     """
-    opts = options or AnalyzeOptions()
-    for name in opts.stages:
-        if name not in STAGES:
-            raise ValueError(f"unknown pipeline stage {name!r}")
     facts = network_facts(net)
+    stages = list(STAGES.items())
+    if numeric:
+        stages.append(("numeric", lambda net, facts: _numeric_stage(net, facts, budget, seed)))
     notes: list[str] = []
-    for name in opts.stages:
+    for name, stage in stages:
         try:
-            outcome = STAGES[name](net, facts, opts)
+            outcome = stage(net, facts)
         except LimitExceeded as exc:
             raise LimitExceeded(f"{name}: {exc}") from exc
         if isinstance(outcome, str):

@@ -24,16 +24,6 @@ from .linalg import det_int
 from .network import Complex, Reaction, ReactionNetwork, make_network
 
 
-@dataclass(frozen=True)
-class RemovalSpec:
-    reactions_removed: frozenset[int]
-    species_removed: frozenset[int]
-
-    @classmethod
-    def of(cls, reactions: Iterable[int] = (), species: Iterable[int] = ()) -> "RemovalSpec":
-        return cls(frozenset(reactions), frozenset(species))
-
-
 def restrict_reaction(rxn: Reaction, kept: Iterable[int]) -> Reaction | None:
     """Restriction to kept species, or None when it collapses to triviality."""
     keep = set(kept)
@@ -62,22 +52,23 @@ def _on_used_species(net: ReactionNetwork, reactions: Sequence[Reaction]) -> Rea
     return make_network([net.species[i] for i in used], renamed)
 
 
-def embedded_network(net: ReactionNetwork, spec: RemovalSpec) -> ReactionNetwork:
-    """The network embedded in ``net`` by the given removals.
+def embedded_network(
+    net: ReactionNetwork, *, reactions: Iterable[int] = (), species: Iterable[int] = ()
+) -> ReactionNetwork:
+    """The network embedded in ``net`` by removing the given reaction and species indices.
 
     Species are renumbered densely but keep their names, so results from
-    different removal specs compare by name.
+    different removals compare by name.
     """
-    for ridx in spec.reactions_removed:
+    reactions, species = frozenset(reactions), frozenset(species)
+    for ridx in reactions:
         if not 0 <= ridx < net.num_reactions:
             raise ValueError(f"reaction index {ridx} out of range")
-    for sidx in spec.species_removed:
+    for sidx in species:
         if not 0 <= sidx < net.num_species:
             raise ValueError(f"species index {sidx} out of range")
-    kept_reactions = [
-        rxn for i, rxn in enumerate(net.reactions) if i not in spec.reactions_removed
-    ]
-    kept_species = [i for i in range(net.num_species) if i not in spec.species_removed]
+    kept_reactions = [rxn for i, rxn in enumerate(net.reactions) if i not in reactions]
+    kept_species = [i for i in range(net.num_species) if i not in species]
     return _on_used_species(net, restrict_reactions(kept_reactions, kept_species))
 
 
@@ -209,7 +200,7 @@ def enumerate_sens(
 ) -> Iterator[SquareEmbeddedNetwork]:
     """All size-k square embedded networks, lexicographic in (reactions, species).
 
-    Each species subset gives one stream: the k-combinations of the
+    Each species subset gives at most one stream: the k-combinations of the
     nontrivial restrictions to the subset that ``admit`` accepts (all of
     them without ``admit``) are yielded in lexicographic reaction order
     when they are pairwise distinct.  ``heapq.merge`` joins the streams
@@ -226,9 +217,9 @@ def enumerate_sens(
 
     One unit of work is a species subset or a reaction combination
     formed, duplicates included; past ``WORK_LIMIT`` units the scan raises
-    ``LimitExceeded``.  The merge starts every stream before the first SEN
-    comes out, so a scan with more than ``WORK_LIMIT`` species subsets
-    is refused before any stream is built.
+    ``LimitExceeded``.  Each subset's admitted restrictions are listed up
+    front, and only a subset with at least k of them gets a stream; a scan
+    with more than ``WORK_LIMIT`` subsets is refused before any is listed.
     """
     if k < 1 or k > min(net.num_reactions, net.num_species):
         return
@@ -275,17 +266,21 @@ def enumerate_sens(
                 candidates.append((i, res))
         return candidates
 
-    def stream(sp_subset: tuple[int, ...]):
-        spend()
-        for combo in itertools.combinations(admitted(sp_subset), k):
+    def stream(sp_subset: tuple[int, ...], candidates: list[tuple[int, Reaction]]):
+        for combo in itertools.combinations(candidates, k):
             spend()
             restricted = tuple(res for _, res in combo)
             if len(set(restricted)) == k:
                 yield tuple(i for i, _ in combo), sp_subset, restricted
 
+    streams = []
+    for sp_subset in itertools.combinations(range(net.num_species), k):
+        spend()
+        candidates = admitted(sp_subset)
+        if len(candidates) >= k:
+            streams.append(stream(sp_subset, candidates))
     # (reaction_indices, species_indices) never repeats across streams, so
     # the merge never compares the restricted reactions themselves
-    streams = [stream(sp) for sp in itertools.combinations(range(net.num_species), k)]
     for rxn_subset, sp_subset, restricted in heapq.merge(*streams):
         yield SquareEmbeddedNetwork(net, rxn_subset, sp_subset, restricted)
 

@@ -15,7 +15,6 @@ from crnmss.decide import (
     INCONCLUSIVE,
     MULTISTATIONARY,
     NOT_MULTISTATIONARY,
-    AnalyzeOptions,
     analyze,
     atom_db_matches,
     cfstr_injectivity,
@@ -26,7 +25,6 @@ from crnmss.decide import (
     injectivity_signvectors,
 )
 from crnmss.embedding import (
-    RemovalSpec,
     embedded_network,
     enumerate_sens,
     find_embedding,
@@ -81,7 +79,7 @@ def test_criterion_1_introductory_regressions():
         inj1 = cfstr_injectivity(net1)
         assert not inj1.injective
         assert injectivity_minors(net1).injective is False
-        res1 = analyze(net1, AnalyzeOptions())
+        res1 = analyze(net1)
         register("intro-1", status=res1.verdict.status, injective=False)
 
         net2 = parse_network(
@@ -92,7 +90,7 @@ def test_criterion_1_introductory_regressions():
         inj2 = cfstr_injectivity(net2)
         assert not inj2.injective
         assert list(atom_db_matches(net2)) == []
-        res2 = analyze(net2, AnalyzeOptions())
+        res2 = analyze(net2)
         assert res2.verdict.status == INCONCLUSIVE
         register("intro-2", status=res2.verdict.status, injective=False)
 
@@ -163,7 +161,7 @@ def test_criterion_3_sequestration_suite():
         for m in range(1, 4):
             for n in (2, 4, 6):
                 open_net = fully_open_extension(generate(FamilySpec("K", m, n)))
-                res = analyze(open_net, AnalyzeOptions())
+                res = analyze(open_net)
                 assert res.verdict.status == NOT_MULTISTATIONARY, (m, n)
                 register(
                     f"seq-open-{m}-{n}",
@@ -248,7 +246,7 @@ def test_criterion_7_embedding_properties():
         for pair_index in range(500):
             net = random_network(rng, max_species=4, max_reactions=4)
             if pair_index % 2 == 0 and net.num_reactions > 1:
-                spec = RemovalSpec.of(reactions={rng.randrange(net.num_reactions)})
+                drop_reactions, drop_species = [rng.randrange(net.num_reactions)], []
             else:
                 drop_reactions = [
                     i for i in range(net.num_reactions) if rng.random() < 0.4
@@ -258,25 +256,25 @@ def test_criterion_7_embedding_properties():
                 ]
                 if len(drop_reactions) == net.num_reactions:
                     drop_reactions = drop_reactions[1:]
-                spec = RemovalSpec.of(reactions=drop_reactions, species=drop_species)
-            sub = embedded_network(net, spec)
+            removed = {"reactions": drop_reactions, "species": drop_species}
+            sub = embedded_network(net, **removed)
 
-            assert stoich(sub).rank <= stoich(net).rank, (net, spec)
+            assert stoich(sub).rank <= stoich(net).rank, (net, removed)
 
-            if not spec.species_removed and len(spec.reactions_removed) == 1:
+            if not drop_species and len(drop_reactions) == 1:
                 host_rep = deficiency(net)
                 sub_rep = deficiency(sub)
                 if host_rep.applicable and sub_rep.applicable:
                     delta_checked += 1
                     assert sub_rep.total in (host_rep.total, host_rep.total - 1), (
                         net,
-                        spec,
+                        removed,
                         host_rep.total,
                         sub_rep.total,
                     )
 
             if sub.num_reactions > 0:
-                assert find_embedding(sub, net) is not None, (net, spec)
+                assert find_embedding(sub, net) is not None, (net, removed)
         assert delta_checked > 50
 
 
@@ -288,7 +286,7 @@ def test_criterion_8_deficiency_zero_uniqueness():
         for k, net in enumerate(nets):
             rep = deficiency(net)
             assert is_weakly_reversible(net) and rep.total == 0, k
-            res = analyze(net, AnalyzeOptions())
+            res = analyze(net)
             assert res.verdict.status == NOT_MULTISTATIONARY, k
             most_states = 0
             for _ in range(20):

@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 
 from crnmss.cli import main
-from crnmss.decide import AnalyzeOptions, LimitExceeded, analyze
+from crnmss.decide import LimitExceeded, _numeric_stage, analyze, network_facts
 from crnmss.embedding import fully_open_extension
 from crnmss.families import FamilySpec, generate, load_atom
 from crnmss.network import parse_network, render_network
@@ -110,28 +110,30 @@ def test_schema_lists_exactly_the_certificate_kinds_the_stages_emit():
     def fully_open(family, m, n):
         return fully_open_extension(generate(FamilySpec(family, m, n)))
 
-    # one network per kind, each concluded by the stage that emits it
-    cases = [
-        (parse_network("A <-> B"), None),
-        (fully_open("G", 1, 2), None),
-        (parse_network("0 -> 2 S2\n2 S2 + 2 S1 -> S2 + 2 S1"), None),
-        (fully_open("G", 3, 2), None),
-        (fully_open("K", 2, 3), None),
-        (load_atom(2), None),
-        (fully_open("G", 2, 3), None),
-        (parse_network("A -> 0"), None),
-        (load_atom(1), AnalyzeOptions(("numeric",))),
+    # one network per kind, each concluded by the stage that emits it; an
+    # exact stage concludes on every atom, so the numeric stage runs alone
+    nets = [
+        parse_network("A <-> B"),
+        fully_open("G", 1, 2),
+        parse_network("0 -> 2 S2\n2 S2 + 2 S1 -> S2 + 2 S1"),
+        fully_open("G", 3, 2),
+        fully_open("K", 2, 3),
+        load_atom(2),
+        fully_open("G", 2, 3),
+        parse_network("A -> 0"),
     ]
+    verdicts = [analyze(net).verdict.to_json() for net in nets]
+    atom = load_atom(1)
+    verdicts.append(_numeric_stage(atom, network_facts(atom), 200, 0).verdict.to_json())
     verdict_schema = report_schema()["properties"]["verdict"]
     kinds = set()
-    for net, options in cases:
-        verdict = analyze(net, options).verdict.to_json()
+    for verdict in verdicts:
         jsonschema.validate(verdict, verdict_schema)
         # certificates hold plain JSON values, so a round trip keeps them
         assert json.loads(json.dumps(verdict)) == verdict
         kinds.add(verdict["certificate"]["kind"])
     schema_kinds = verdict_schema["properties"]["certificate"]["anyOf"][1]["properties"]["kind"]
-    assert len(kinds) == len(cases)
+    assert len(kinds) == len(verdicts)
     assert kinds == set(schema_kinds["enum"])
 
 
@@ -292,6 +294,14 @@ def test_witness_kappa_validation(tmp_path, capsys):
     assert "error: rate constant 3 does not fit a float" in captured.err
 
 
+def test_witness_names_a_rate_that_is_not_a_rational_number(tmp_path, capsys):
+    path = write_net(tmp_path, "0 -> A\nA -> 0\n2 A -> 3 A")
+    assert main(["witness", path, "--kappa", "1", "1", "1/0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rate constant 3 is not a rational number: '1/0'\n"
+
+
 def test_witness_overflowing_trials_stay_silent(tmp_path, capsys):
     path = write_net(tmp_path, "0 <-> A\n200 A -> 201 A")
     with warnings.catch_warnings():
@@ -371,7 +381,7 @@ def test_det_opt_work_bound_names_its_stage(tmp_path, capsys, monkeypatch):
 
 
 def test_limit_exceeded_exits_4(tmp_path, capsys, monkeypatch):
-    def boom(net, options):
+    def boom(net, **options):
         raise LimitExceeded("enumeration too large")
 
     monkeypatch.setattr("crnmss.cli.analyze", boom)

@@ -13,9 +13,10 @@ from crnmss.decide import (
     MULTISTATIONARY,
     NO_POSITIVE_STEADY_STATES,
     NOT_MULTISTATIONARY,
-    AnalyzeOptions,
+    STAGES,
     LimitExceeded,
     Verdict,
+    _numeric_stage,
     _positive_dependence_stage,
     analyze,
     atom_db_matches,
@@ -99,9 +100,7 @@ def test_injectivity_minors_conflict():
     rep = injectivity_minors(load_atom(6))
     assert rep.status == "not-injective"
     assert not rep.injective
-    assert rep.conflict is not None
-    (sp1, rx1, v1), (sp2, rx2, v2) = rep.conflict
-    assert v1 * v2 < 0
+    assert rep.sign is None
 
 
 def test_injectivity_minors_degenerate():
@@ -117,7 +116,6 @@ def test_injectivity_signvectors_basic():
     # the constant-map degenerate case: zero common sign vector
     rep = injectivity_signvectors(parse_network("0 -> A"))
     assert rep.status == "not-injective"
-    assert rep.common_sign_vector == (0,)
 
 
 def test_injectivity_signvectors_size_limit(monkeypatch):
@@ -168,7 +166,7 @@ HOLDS = "positive dependence holds"
 
 
 def dependence_stage(net):
-    return _positive_dependence_stage(net, network_facts(net), AnalyzeOptions())
+    return _positive_dependence_stage(net, network_facts(net))
 
 
 def reversible_closure(net):
@@ -475,14 +473,6 @@ def test_analyze_det_opt_and_atoms():
     assert res.verdict.certificate["atom"] == "2rxn-11"
 
 
-def test_analyze_rejects_an_unknown_stage_before_any_stage_runs():
-    net = parse_network("A <-> B")
-    # the first stage alone concludes, so the bad name must be caught first
-    assert analyze(net, AnalyzeOptions(("deficiency-zero",))).verdict.status == NOT_MULTISTATIONARY
-    with pytest.raises(ValueError, match="^unknown pipeline stage 'bogus'$"):
-        analyze(net, AnalyzeOptions(("deficiency-zero", "bogus")))
-
-
 def test_analyze_minors_verdict_and_degenerate_note():
     # atlas case rand4-053: not a CFSTR, every minor product is negative
     res = analyze(parse_network("0 -> 2 S2\n2 S2 + 2 S1 -> S2 + 2 S1"))
@@ -516,19 +506,16 @@ def test_analyze_det_opt_certifies_only_the_fully_open_extension():
 
 
 def test_analyze_inconclusive_and_stage_control():
-    res = analyze(k_tilde(2, 3), AnalyzeOptions(stages=("injectivity",)))
-    assert res.verdict.status == INCONCLUSIVE
-    assert any("injectivity fails" in n for n in res.verdict.notes)
-    with pytest.raises(ValueError):
-        analyze(parse_network("A -> B"), AnalyzeOptions(stages=("nope",)))
+    net = k_tilde(2, 3)
+    note = STAGES["injectivity"](net, network_facts(net))
+    assert note.startswith("injectivity fails")
+    # the note of a silent stage reaches the verdict of a later stage
+    assert note in analyze(net).verdict.notes
 
 
 def test_analyze_numeric_stage():
     net = load_atom(1)
-    res = analyze(
-        net,
-        AnalyzeOptions(stages=("numeric",), budget=10000, seed=0),
-    )
+    res = _numeric_stage(net, network_facts(net), 10000, 0)
     assert res.verdict.status == MULTISTATIONARY
     assert res.verdict.certificate["kind"] == "numeric-witness"
     assert res.verdict.certificate["nondegenerate_states"] >= 2

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from crnmss.embedding import (
     EmbeddingWitness,
-    RemovalSpec,
     embedded_network,
     enumerate_sens,
     find_embedding,
@@ -54,13 +53,13 @@ def test_restrict_reactions_drops_duplicates():
 
 def test_embedded_network_keeps_names():
     net = parse_network("A + B -> 2 A\nB -> C\nC -> 0")
-    sub = embedded_network(net, RemovalSpec.of(reactions=[2], species=[0]))
+    sub = embedded_network(net, reactions=[2], species=[0])
     assert sub.species_names() == ("B", "C")
     assert render_network(sub) == "B -> 0\nB -> C"
-    with pytest.raises(ValueError):
-        embedded_network(net, RemovalSpec.of(reactions=[3]))
-    with pytest.raises(ValueError):
-        embedded_network(net, RemovalSpec.of(species=[9]))
+    with pytest.raises(ValueError, match="^reaction index 3 out of range$"):
+        embedded_network(net, reactions=[3])
+    with pytest.raises(ValueError, match="^species index 9 out of range$"):
+        embedded_network(net, species=[9])
 
 
 def test_non_flow_subnetwork_and_open_maps():
@@ -78,7 +77,7 @@ def test_non_flow_subnetwork_and_open_maps():
 def reference_non_flow_subnetwork(net):
     """The non-flow subnetwork as an embedded network: flows removed."""
     flows = {i for i, r in enumerate(net.reactions) if r.is_flow}
-    return embedded_network(net, RemovalSpec.of(reactions=flows))
+    return embedded_network(net, reactions=flows)
 
 
 def reference_every_species_has(net, flow):
@@ -258,13 +257,11 @@ def test_find_embedding_recovers_random_embeddings():
     hits = 0
     for _ in range(60):
         host = random_network(rng, max_species=4, max_reactions=4)
-        spec = RemovalSpec.of(
-            reactions=[
-                i for i in range(host.num_reactions) if rng.random() < 0.4
-            ],
+        pattern = embedded_network(
+            host,
+            reactions=[i for i in range(host.num_reactions) if rng.random() < 0.4],
             species=[i for i in range(host.num_species) if rng.random() < 0.3],
         )
-        pattern = embedded_network(host, spec)
         if pattern.num_reactions == 0:
             continue
         w = find_embedding(pattern, host)
@@ -296,10 +293,11 @@ def test_find_embedding_matches_its_definition(seed):
     rng = random.Random(seed)
     net = random_network(rng, max_species=5, max_reactions=5, max_coeff=2)
     for host in (net, fully_open_extension(net)):
-        spec = RemovalSpec.of(
+        embedded = embedded_network(
+            host,
             reactions=[i for i in range(host.num_reactions) if rng.random() < 0.5],
             species=[i for i in range(host.num_species) if rng.random() < 0.4],
         )
         unrelated = random_network(rng, max_species=3, max_reactions=3, max_coeff=2)
-        for pattern in (embedded_network(host, spec), unrelated):
+        for pattern in (embedded, unrelated):
             assert find_embedding(pattern, host) == reference_embedding(pattern, host)

