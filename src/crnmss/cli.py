@@ -189,7 +189,7 @@ def _print_witness(witness) -> None:
 def _rate(index: int, text: str) -> Fraction:
     try:
         return Fraction(text)
-    except ZeroDivisionError:
+    except (ValueError, ZeroDivisionError):
         raise ValueError(f"rate constant {index} is not a rational number: {text!r}") from None
 
 
@@ -277,7 +277,11 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    try:
+        args = _PARSER.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage or help; hand back its exit status
+        return exc.code
     if args.command == "witness" and (args.kappa is None) == (not args.search):
         print("error: pass exactly one of --kappa or --search", file=sys.stderr)
         return EXIT_INPUT_ERROR

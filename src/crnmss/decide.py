@@ -164,7 +164,7 @@ def injectivity_minors(net: ReactionNetwork) -> InjectivityReport:
     """
     k = stoich(net).rank
     sign = 0
-    for sen in enumerate_sens(net, k):
+    for sen in enumerate_sens(net, (k,)):
         value = (-1) ** k * orientation(sen)
         if value == 0:
             continue
@@ -267,15 +267,20 @@ def cfstr_injectivity(net: ReactionNetwork) -> InjectivityReport:
     """Injectivity of a CFSTR via relevant square embedded networks.
 
     The CFSTR is injective iff no relevant square embedded network (SEN)
-    of its non-flow subnetwork is negatively oriented.  For k = 1, 2, ...
-    the scan reads ``enumerate_sens`` without the restrictions that no
-    relevant SEN can contain (``irrelevant_alone``: an empty reactant or a
-    generalized outflow), which is exact, and every SEN it yields goes
-    through ``sen_is_relevant`` and the exact ``orientation``.  The stream
-    is ordered, so the counterexample is the first hit: the negative SEN
-    of least size that is least by (reaction_indices, species_indices).
-    The work bound of ``enumerate_sens`` holds for each size k on its own,
-    not for the sizes together; past it the scan raises ``LimitExceeded``.
+    of its non-flow subnetwork is negatively oriented.  One
+    ``enumerate_sens`` scan reads the sizes k = 1, 2, ..., min(species,
+    reactions) in turn, without the restrictions that no relevant SEN can
+    contain (``irrelevant_alone``: an empty reactant or a generalized
+    outflow), which is exact, and every SEN it yields goes through
+    ``sen_is_relevant`` and the exact ``orientation``.  The scan restricts
+    each (reaction, support meet) pair once for all sizes together.  The
+    stream is ordered, so the counterexample is the first hit: the
+    negative SEN of least size that is least by (reaction_indices,
+    species_indices).  The work bound of ``enumerate_sens`` holds for each
+    size on its own, not for the sizes together, and a size is checked
+    only when the scan reaches it; past the bound the scan raises
+    ``LimitExceeded``.  So a scan that finds its counterexample at a small
+    size never refuses because of a larger one.
     """
     if not is_cfstr(net):
         raise ValueError("cfstr_injectivity requires every species to have an outflow")
@@ -284,10 +289,10 @@ def cfstr_injectivity(net: ReactionNetwork) -> InjectivityReport:
     def admit(res) -> bool:
         return irrelevant_alone(res) is None
 
-    for k in range(1, min(g0.num_species, g0.num_reactions) + 1):
-        for sen in enumerate_sens(g0, k, admit):
-            if sen_is_relevant(sen)[0] and orientation(sen) < 0:
-                return InjectivityReport("not-injective", negative_sen=sen)
+    sizes = range(1, min(g0.num_species, g0.num_reactions) + 1)
+    for sen in enumerate_sens(g0, sizes, admit):
+        if sen_is_relevant(sen)[0] and orientation(sen) < 0:
+            return InjectivityReport("not-injective", negative_sen=sen)
     return InjectivityReport("injective")
 
 
@@ -414,7 +419,7 @@ def determinant_optimization(net: ReactionNetwork) -> DetOptCertificate | None:
         return None
     gamma = g0.stoich_data.stoich_matrix
 
-    for sen in enumerate_sens(g0, s):
+    for sen in enumerate_sens(g0, (s,)):
         value = orientation(sen)
         if value >= 0:
             continue

@@ -195,11 +195,12 @@ class LimitExceeded(RuntimeError):
 
 def enumerate_sens(
     net: ReactionNetwork,
-    k: int,
+    sizes: Iterable[int],
     admit: Callable[[Reaction], bool] | None = None,
 ) -> Iterator[SquareEmbeddedNetwork]:
-    """All size-k square embedded networks, lexicographic in (reactions, species).
+    """The square embedded networks of each size in ``sizes``, in turn.
 
+    Within a size k the order is lexicographic in (reactions, species).
     Each species subset gives at most one stream: the k-combinations of the
     nontrivial restrictions to the subset that ``admit`` accepts (all of
     them without ``admit``) are yielded in lexicographic reaction order
@@ -207,33 +208,23 @@ def enumerate_sens(
     by (reaction_indices, species_indices).  A SEN is left out exactly
     when ``admit`` rejects one of its restrictions.  With k equal to the
     number of species, as in determinant optimization, there is a single
-    stream.
+    stream.  A size outside 1..min(reactions, species) yields nothing.
 
     A reaction's restriction to a subset depends only on the subset's
-    meet with the reaction's support, so each restriction is made, and
-    ``admit`` asked, once per (reaction, meet) in the scan, not once per
-    subset.  A reaction whose support misses the subset restricts to
-    nothing and is skipped.
+    meet with the reaction's support, not on the size, so each
+    restriction is made, and ``admit`` asked, once per (reaction, meet)
+    in the whole scan, across all of its sizes.  A reaction whose support
+    misses the subset restricts to nothing and is skipped.
 
-    One unit of work is a species subset or a reaction combination
-    formed, duplicates included; past ``WORK_LIMIT`` units the scan raises
+    The work bound holds for each size on its own.  One unit of work is a
+    species subset or a reaction combination formed, duplicates included;
+    past ``WORK_LIMIT`` units within one size the scan raises
     ``LimitExceeded``.  Each subset's admitted restrictions are listed up
-    front, and only a subset with at least k of them gets a stream; a scan
-    with more than ``WORK_LIMIT`` subsets is refused before any is listed.
+    front, and only a subset with at least k of them gets a stream; a size
+    with more than ``WORK_LIMIT`` subsets is refused before any of its
+    subsets is listed.  A size is checked only when its turn comes, so
+    every SEN of the sizes before it has been yielded by then.
     """
-    if k < 1 or k > min(net.num_reactions, net.num_species):
-        return
-    refusal = f"square embedded network scan exceeds the work bound {WORK_LIMIT}"
-    if math.comb(net.num_species, k) > WORK_LIMIT:
-        raise LimitExceeded(refusal)
-    work = 0
-
-    def spend() -> None:
-        nonlocal work
-        work += 1
-        if work > WORK_LIMIT:
-            raise LimitExceeded(refusal)
-
     # supports[i]: bitmask of the species reaction i uses; memo[i]: support
     # meet -> reaction i restricted to it, or None when that is trivial or
     # admit rejects it
@@ -265,6 +256,28 @@ def enumerate_sens(
             if res is not None:
                 candidates.append((i, res))
         return candidates
+
+    for k in sizes:
+        if 1 <= k <= min(net.num_reactions, net.num_species):
+            yield from _sens_of_size(net, k, admitted)
+
+
+def _sens_of_size(
+    net: ReactionNetwork,
+    k: int,
+    admitted: Callable[[tuple[int, ...]], list[tuple[int, Reaction]]],
+) -> Iterator[SquareEmbeddedNetwork]:
+    """The size-k part of ``enumerate_sens``, with its own work count."""
+    refusal = f"square embedded network scan exceeds the work bound {WORK_LIMIT}"
+    if math.comb(net.num_species, k) > WORK_LIMIT:
+        raise LimitExceeded(refusal)
+    work = 0
+
+    def spend() -> None:
+        nonlocal work
+        work += 1
+        if work > WORK_LIMIT:
+            raise LimitExceeded(refusal)
 
     def stream(sp_subset: tuple[int, ...], candidates: list[tuple[int, Reaction]]):
         for combo in itertools.combinations(candidates, k):

@@ -145,7 +145,7 @@ def test_criterion_3_sequestration_suite():
         for m in range(1, 5):
             for n in range(2, 9):
                 net = generate(FamilySpec("K", m, n))
-                sen = next(iter(enumerate_sens(net, n)))
+                sen = next(iter(enumerate_sens(net, (n,))))
                 got = orientation(sen)
                 want = 1 + (-1) ** (n + 1) * (-m)
                 assert (got > 0) is (want > 0), (m, n, got, want)
@@ -155,7 +155,7 @@ def test_criterion_3_sequestration_suite():
             for n in range(2, 7):
                 net = generate(FamilySpec("K", m, n))
                 for k in range(1, n):
-                    for sen in enumerate_sens(net, k):
+                    for sen in enumerate_sens(net, (k,)):
                         assert not sen_is_relevant(sen)[0], (m, n, sen)
 
         for m in range(1, 4):

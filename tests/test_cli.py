@@ -282,6 +282,14 @@ def test_witness_kappa_validation(tmp_path, capsys):
     assert main(["witness", path, "--kappa", "1", "1"]) == 2
     assert "expected 3 rate constants" in capsys.readouterr().err
     assert main(["witness", path, "--kappa", "1", "abc", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rate constant 2 is not a rational number: 'abc'\n"
+    for text in ("nan", "inf"):
+        assert main(["witness", path, "--kappa", "1", "1", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: rate constant 3 is not a rational number: '{text}'\n"
     assert main(["witness", path, "--kappa", "1", "0", "1"]) == 2
     capsys.readouterr()
     assert main(["witness", path, "--kappa", "1", "1", "1e400"]) == 2
@@ -292,6 +300,18 @@ def test_witness_kappa_validation(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: rate constant 3 does not fit a float" in captured.err
+
+
+def test_main_returns_the_argparse_exit_status(tmp_path, capsys):
+    path = write_net(tmp_path, "0 -> A\nA -> 0\n2 A -> 3 A")
+    # argparse reads -2/3 as an option; its own usage message stays
+    assert main(["witness", path, "--kappa", "1", "-2/3", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: crnmss ")
+    assert captured.err.endswith("crnmss: error: unrecognized arguments: -2/3 1\n")
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: crnmss ")
 
 
 def test_witness_names_a_rate_that_is_not_a_rational_number(tmp_path, capsys):

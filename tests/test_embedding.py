@@ -156,17 +156,17 @@ def test_remove_intermediates():
 
 def test_orientation_one_by_one():
     net = parse_network("A -> 2 A")
-    sens = list(enumerate_sens(net, 1))
+    sens = list(enumerate_sens(net, (1,)))
     assert len(sens) == 1
     assert orientation(sens[0]) == -1
     net2 = parse_network("2 A -> A")
-    assert orientation(next(enumerate_sens(net2, 1))) == 2
+    assert orientation(next(enumerate_sens(net2, (1,)))) == 2
 
 
 def test_enumerate_sens_skips_trivial_restrictions():
     net = parse_network("A + B -> 2 A\nA + C -> 2 A")
     # reaction 1 restricted to {B} and reaction 0 restricted to {C} are 0 -> 0
-    ones = list(enumerate_sens(net, 1))
+    ones = list(enumerate_sens(net, (1,)))
     assert [(s.reaction_indices, s.species_indices) for s in ones] == [
         ((0,), (0,)),
         ((0,), (1,)),
@@ -178,7 +178,7 @@ def test_enumerate_sens_skips_trivial_restrictions():
 def test_enumerate_sens_requires_distinct_restrictions():
     # both reactions restrict to A + B -> 2A on species {A, B}
     net = parse_network("A + B + C -> 2 A\nA + B + D -> 2 A")
-    two = list(enumerate_sens(net, 2))
+    two = list(enumerate_sens(net, (2,)))
     pairs = {sen.species_indices for sen in two}
     assert (0, 1) not in pairs
     assert len(two) == 5
@@ -186,9 +186,9 @@ def test_enumerate_sens_requires_distinct_restrictions():
 
 def test_enumerate_sens_size_bounds():
     net = parse_network("A -> B")
-    assert list(enumerate_sens(net, 0)) == []
-    assert list(enumerate_sens(net, 2)) == []
-    assert len(list(enumerate_sens(net, 1))) == 2
+    assert list(enumerate_sens(net, (0,))) == []
+    assert list(enumerate_sens(net, (2,))) == []
+    assert len(list(enumerate_sens(net, (1,)))) == 2
 
 
 def test_total_molecularity_counts_reversible_pair_once():
@@ -222,7 +222,7 @@ def test_sen_relevance_uses_sen_species():
     net = parse_network("A + B -> 2 A\nB -> 0")
     sen = next(
         s
-        for s in enumerate_sens(net, 1)
+        for s in enumerate_sens(net, (1,))
         if s.reaction_indices == (0,) and s.species_indices == (0,)
     )
     ok, why = sen_is_relevant(sen)

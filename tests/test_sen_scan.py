@@ -35,7 +35,7 @@ def reference_negative_sen(net):
     """The first negative relevant SEN of a reaction-major walk, or None."""
     g0 = non_flow_subnetwork(net)
     for k in range(1, min(g0.num_species, g0.num_reactions) + 1):
-        for sen in enumerate_sens(g0, k):
+        for sen in enumerate_sens(g0, (k,)):
             if sen_is_relevant(sen)[0] and orientation(sen) < 0:
                 return sen
     return None
@@ -64,7 +64,7 @@ def test_orientation_matches_the_coefficient_product(seed):
     assert g0.num_species < net.num_species
     for host in (net, g0):
         for k in range(1, min(host.num_species, host.num_reactions) + 1):
-            for sen in enumerate_sens(host, k):
+            for sen in enumerate_sens(host, (k,)):
                 assert orientation(sen) == coefficient_orientation(sen)
 
 
@@ -91,7 +91,7 @@ def test_scan_matches_reaction_major_reference(seed):
 def test_prefilter_is_exact(seed):
     net = random_network(random.Random(seed), max_species=4, max_reactions=5, max_coeff=2)
     for k in range(1, min(net.num_species, net.num_reactions) + 1):
-        for sen in enumerate_sens(net, k):
+        for sen in enumerate_sens(net, (k,)):
             if any(irrelevant_alone(rxn) is not None for rxn in sen.reactions):
                 assert not sen_is_relevant(sen)[0]
 
@@ -107,7 +107,22 @@ def test_enumerate_sens_matches_pairwise_restriction(seed):
                 restricted = [restrict_reaction(net.reactions[i], sp_subset) for i in rxn_subset]
                 if None not in restricted and len(set(restricted)) == k:
                     expected.append((rxn_subset, sp_subset, tuple(restricted)))
-        assert [sen_key(sen) for sen in enumerate_sens(net, k)] == expected
+        assert [sen_key(sen) for sen in enumerate_sens(net, (k,))] == expected
+
+
+def scan_units(net, k, admit=None):
+    """Work units of the size-k scan: one per species subset, one per
+    combination of its admitted restrictions formed."""
+    subsets = list(itertools.combinations(range(net.num_species), k))
+    admitted = [
+        [
+            rxn
+            for rxn in net.reactions
+            if (res := restrict_reaction(rxn, sp)) and (admit is None or admit(res))
+        ]
+        for sp in subsets
+    ]
+    return len(subsets) + sum(math.comb(len(a), k) for a in admitted)
 
 
 @property_settings
@@ -116,7 +131,7 @@ def test_filter_drops_exactly_the_sens_holding_a_rejected_restriction(seed):
     rng = random.Random(seed)
     net = random_network(rng, max_species=4, max_reactions=5, max_coeff=2)
     for k in range(1, min(net.num_species, net.num_reactions) + 1):
-        unfiltered = list(enumerate_sens(net, k))
+        unfiltered = list(enumerate_sens(net, (k,)))
         restrictions = dict.fromkeys(rxn for sen in unfiltered for rxn in sen.reactions)
         rejected = {rxn for rxn in restrictions if rng.random() < 0.3}
         filters = (
@@ -124,34 +139,31 @@ def test_filter_drops_exactly_the_sens_holding_a_rejected_restriction(seed):
             lambda res: irrelevant_alone(res) is None,
         )
         for admit in filters:
-            # work: one unit per species subset, one per combination formed
-            subsets = list(itertools.combinations(range(net.num_species), k))
-            admitted = [
-                [rxn for rxn in net.reactions if (res := restrict_reaction(rxn, sp)) and admit(res)]
-                for sp in subsets
-            ]
-            units = len(subsets) + sum(math.comb(len(a), k) for a in admitted)
+            units = scan_units(net, k, admit)
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr("crnmss.embedding.WORK_LIMIT", units)
-                got = list(enumerate_sens(net, k, admit))
+                got = list(enumerate_sens(net, (k,), admit))
                 patch.setattr("crnmss.embedding.WORK_LIMIT", units - 1)
                 with pytest.raises(LimitExceeded, match=f"work bound {units - 1}$"):
-                    list(enumerate_sens(net, k, admit))
+                    list(enumerate_sens(net, (k,), admit))
             expected = [sen for sen in unfiltered if all(map(admit, sen.reactions))]
             assert [sen_key(sen) for sen in got] == [sen_key(sen) for sen in expected]
 
 
 def assert_admit_asked_once_per_restriction(net):
-    for k in range(1, min(net.num_species, net.num_reactions) + 1):
+    sizes = range(1, min(net.num_species, net.num_reactions) + 1)
+    # each size on its own, then one scan over all of them
+    for scan in [(k,) for k in sizes] + [sizes]:
         asked = []
 
         def admit(res):
             asked.append(res)
             return irrelevant_alone(res) is None
 
-        list(enumerate_sens(net, k, admit))
+        list(enumerate_sens(net, scan, admit))
         # a restriction's species are its support, so the host reactions
-        # that restrict to it there bound how often one scan may ask
+        # that restrict to it there bound how often one scan may ask, over
+        # all of its sizes
         for res, times in Counter(asked).items():
             support = {i for cpx in res.complexes() for i, _ in cpx}
             holders = sum(restrict_reaction(rxn, support) == res for rxn in net.reactions)
@@ -168,6 +180,52 @@ def test_admit_is_asked_once_per_reaction_and_restriction(seed):
 def test_admit_is_asked_once_per_reaction_and_restriction_on_sequestration():
     net = fully_open_extension(generate(FamilySpec("K", 2, 10)))
     assert_admit_asked_once_per_restriction(non_flow_subnetwork(net))
+
+
+def test_injectivity_restricts_each_reaction_and_meet_once(monkeypatch):
+    net = fully_open_extension(generate(FamilySpec("K", 2, 10)))
+    g0 = non_flow_subnetwork(net)
+    index = {rxn: i for i, rxn in enumerate(g0.reactions)}
+    calls = Counter()
+
+    def counting(rxn, kept):
+        support = {i for cpx in rxn.complexes() for i, _ in cpx}
+        calls[index[rxn], frozenset(support.intersection(kept))] += 1
+        return restrict_reaction(rxn, kept)
+
+    monkeypatch.setattr("crnmss.embedding.restrict_reaction", counting)
+    # injective, so the scan reads every size from 1 to 10
+    assert cfstr_injectivity(net).injective
+    assert calls
+    assert max(calls.values()) == 1
+
+
+@property_settings
+@given(seeds)
+def test_one_scan_over_all_sizes_is_the_single_size_scans_in_turn(seed):
+    net = random_network(random.Random(seed), max_species=5, max_reactions=5, max_coeff=2)
+    sizes = range(1, min(net.num_species, net.num_reactions) + 1)
+    for admit in (None, lambda res: irrelevant_alone(res) is None):
+        per_size = [[sen_key(sen) for sen in enumerate_sens(net, (k,), admit)] for k in sizes]
+        in_turn = [key for keys in per_size for key in keys]
+        assert [sen_key(sen) for sen in enumerate_sens(net, sizes, admit)] == in_turn
+        # a bound that every size below k meets and size k alone exceeds:
+        # the scan yields every SEN below k before it refuses
+        units = [scan_units(net, k, admit) for k in sizes]
+        refused = [k for k in sizes[1:] if units[k - 1] > max(units[: k - 1])]
+        if not refused:
+            continue
+        k = refused[-1]
+        bound = max(units[: k - 1])
+        got = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("crnmss.embedding.WORK_LIMIT", bound)
+            with pytest.raises(LimitExceeded, match=f"work bound {bound}$"):
+                for sen in enumerate_sens(net, sizes, admit):
+                    got.append(sen_key(sen))
+        below = sum(len(keys) for keys in per_size[: k - 1])
+        assert below <= len(got)
+        assert got == in_turn[: len(got)]
 
 
 def test_sequestration_counterexamples_pinned():
@@ -231,7 +289,7 @@ def test_scan_holds_no_stream_for_a_subset_that_cannot_yield():
     net = parse_network("\n".join(f"X{i} -> X{i + 8}" for i in range(1, 9)))
     tracemalloc.start()
     try:
-        count = sum(1 for _ in enumerate_sens(net, 8))
+        count = sum(1 for _ in enumerate_sens(net, (8,)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -240,11 +298,20 @@ def test_scan_holds_no_stream_for_a_subset_that_cannot_yield():
 
 
 def test_scan_with_too_many_species_subsets_is_refused_before_any_restriction(monkeypatch):
-    # a cycle of 16 species, k = 8: C(16, 8) = 12,870 species subsets
+    # a cycle of 16 species, k = 8: C(16, 8) = 12,870 species subsets; size 1
+    # comes first, with its 16 subsets and the 2 reactions that meet each
     net = parse_network("\n".join(f"X{i} -> X{i % 16 + 1}" for i in range(1, 17)))
     calls = []
-    monkeypatch.setattr("crnmss.embedding.restrict_reaction", lambda *a: calls.append(a))
+
+    def counting(*args):
+        calls.append(args)
+        return restrict_reaction(*args)
+
+    monkeypatch.setattr("crnmss.embedding.restrict_reaction", counting)
     monkeypatch.setattr("crnmss.embedding.WORK_LIMIT", 1000)
+    got = []
     with pytest.raises(LimitExceeded, match="work bound 1000$"):
-        next(enumerate_sens(net, 8))
-    assert calls == []
+        for sen in enumerate_sens(net, (1, 8)):
+            got.append(sen)
+    assert len(got) == len(calls) == 32
+    assert {len(sen.reactions) for sen in got} == {1}
