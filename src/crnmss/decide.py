@@ -81,7 +81,10 @@ def check_deficiency_zero(facts: NetworkFacts) -> Verdict | str:
     """The deficiency zero theorem's verdict, or a note saying why it is silent."""
     report = facts.deficiency
     if not report.applicable:
-        return f"deficiency formula not applicable: {report.reason}"
+        return (
+            "deficiency formula not applicable: some linkage class contains more "
+            "than one terminal strong linkage class"
+        )
     if report.total != 0:
         return f"deficiency {report.total}, not zero"
     if report.weakly_reversible:

@@ -298,34 +298,17 @@ def _sens_of_size(
         yield SquareEmbeddedNetwork(net, rxn_subset, sp_subset, restricted)
 
 
-def _merged_nonflow(reactions: Sequence[Reaction]) -> list[Reaction]:
-    """Non-flow reactions with exact reverse pairs counted once (first kept)."""
-    nonflow = [r for r in reactions if not r.is_flow]
-    have = set(nonflow)
-    out = []
-    seen_pairs: set[frozenset[Complex]] = set()
-    for rxn in nonflow:
-        if rxn.reversed_() in have:
-            key = frozenset(rxn.complexes())
-            if key in seen_pairs:
-                continue
-            seen_pairs.add(key)
-        out.append(rxn)
-    return out
-
-
 def total_molecularity(net: ReactionNetwork, species_idx: int) -> int:
     """Sum of the species' coefficients over non-flow reactions.
 
     A reversible pair y -> y', y' -> y contributes once (the pair is one
-    reaction listed with a double arrow when the network is written down).
+    reaction listed with a double arrow when the network is written down),
+    so the sum runs over the distinct complex pairs.
     """
     if not 0 <= species_idx < net.num_species:
         raise ValueError(f"species index {species_idx} out of range")
-    total = 0
-    for rxn in _merged_nonflow(net.reactions):
-        total += rxn.reactant.coeff(species_idx) + rxn.product.coeff(species_idx)
-    return total
+    pairs = {frozenset(rxn.complexes()) for rxn in net.reactions if not rxn.is_flow}
+    return sum(c.coeff(species_idx) for pair in pairs for c in pair)
 
 
 def irrelevant_alone(rxn: Reaction) -> str | None:

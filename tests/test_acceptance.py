@@ -34,7 +34,7 @@ from crnmss.embedding import (
 )
 from crnmss.families import FamilySpec, generate, load_atom
 from crnmss.network import parse_network
-from crnmss.structure import deficiency, is_weakly_reversible, stoich
+from crnmss.structure import deficiency, stoich
 from crnmss.unipoly import (
     family_polynomial,
     positive_root_count,
@@ -285,7 +285,7 @@ def test_criterion_8_deficiency_zero_uniqueness():
         nets.append(fully_open_extension(parse_network("A <-> B")))
         for k, net in enumerate(nets):
             rep = deficiency(net)
-            assert is_weakly_reversible(net) and rep.total == 0, k
+            assert rep.weakly_reversible and rep.total == 0, k
             res = analyze(net)
             assert res.verdict.status == NOT_MULTISTATIONARY, k
             most_states = 0

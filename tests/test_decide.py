@@ -36,7 +36,7 @@ from crnmss.cli import main
 from crnmss.embedding import find_embedding, fully_open_extension, is_cfstr, is_fully_open
 from crnmss.families import FamilySpec, generate, load_atom, load_atoms
 from crnmss.network import Complex, Reaction, ReactionNetwork, parse_network, render_network
-from crnmss.structure import deficiency, is_weakly_reversible, stoich
+from crnmss.structure import deficiency, stoich
 from helpers import random_cfstr, random_network
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -528,7 +528,6 @@ def test_network_facts_match_structure_functions():
         net = random_network(rng)
         facts = network_facts(net)
         assert facts.deficiency == deficiency(net)
-        assert facts.deficiency.weakly_reversible == is_weakly_reversible(net)
         assert facts.cfstr == is_cfstr(net)
         assert facts.fully_open == is_fully_open(net)
 

@@ -6,16 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crnmss.embedding import fully_open_extension
 from crnmss.linalg import rank_int
 from crnmss.network import parse_network
-from crnmss.structure import (
-    deficiency,
-    is_weakly_reversible,
-    linkage_classes,
-    stoich,
-    strong_components,
-    terminal_strong_linkage_classes,
-)
+from crnmss.structure import deficiency, stoich, strong_components
 from helpers import random_network
 
 
@@ -37,11 +31,8 @@ def test_stoich_rank_is_matrix_rank():
 
 
 def test_linkage_classes():
-    net = parse_network("A -> B\nB -> C\nD -> E\n0 -> D")
-    classes = linkage_classes(net)
     # {A, B, C} and {D, E, 0}
-    assert len(classes) == 2
-    assert sorted(len(c) for c in classes) == [3, 3]
+    assert deficiency(parse_network("A -> B\nB -> C\nD -> E\n0 -> D")).num_linkage_classes == 2
 
 
 def test_strong_components_ordering_and_partition():
@@ -55,26 +46,54 @@ def test_strong_components_ordering_and_partition():
 
 
 def test_terminal_strong_linkage_classes():
-    net = parse_network("A -> B\nB -> A\nB -> C")
-    info = terminal_strong_linkage_classes(net)
-    cx = net.complexes()
-    names = {cx[i].items for t in info["terminal"] for i in t}
     # only C is terminal; {A, B} is strong but escapes to C
-    assert len(info["terminal"]) == 1
-    assert names == {((2, 1),)}
-    assert info["unique_per_class"]
+    assert deficiency(parse_network("A -> B\nB -> A\nB -> C")).applicable
+    # B and C are both terminal in the one linkage class
+    assert not deficiency(parse_network("A -> B\nA -> C")).applicable
 
-    net2 = parse_network("A -> B\nA -> C")
-    info2 = terminal_strong_linkage_classes(net2)
-    assert len(info2["terminal"]) == 2
-    assert not info2["unique_per_class"]
+
+def _closure(n: int, edges: list[tuple[int, int]]) -> list[list[bool]]:
+    """Reflexive transitive closure by Warshall's algorithm."""
+    reach = [[u == v for v in range(n)] for u in range(n)]
+    for u, v in edges:
+        reach[u][v] = True
+    for w in range(n):
+        for u in range(n):
+            for v in range(n):
+                reach[u][v] = reach[u][v] or (reach[u][w] and reach[w][v])
+    return reach
+
+
+def test_deficiency_classes_match_warshall_closure():
+    outcomes = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def check(seed):
+        net = random_network(random.Random(seed), max_species=3, max_reactions=6, max_coeff=1)
+        for case in (net, fully_open_extension(net)):
+            index = case.complex_index
+            n = len(index)
+            edges = [(index[rxn.reactant], index[rxn.product]) for rxn in case.reactions]
+            reach = _closure(n, edges)
+            linked = _closure(n, edges + [(v, u) for u, v in edges])
+            linkage = {frozenset(v for v in range(n) if linked[u][v]) for u in range(n)}
+            strong = {frozenset(v for v in range(n) if reach[u][v] and reach[v][u]) for u in range(n)}
+            terminal = [c for c in strong if all(v in c for u, v in edges if u in c)]
+            rep = deficiency(case)
+            assert rep.num_linkage_classes == len(linkage)
+            assert rep.applicable == (len(terminal) == len(linkage))
+            outcomes.add(rep.applicable)
+
+    check()
+    assert outcomes == {True, False}
 
 
 def test_weak_reversibility():
-    assert is_weakly_reversible(parse_network("A -> B\nB -> A"))
-    assert is_weakly_reversible(parse_network("A -> B\nB -> C\nC -> A"))
-    assert not is_weakly_reversible(parse_network("A -> B\nB -> C"))
-    assert not is_weakly_reversible(parse_network("A -> B\nB -> A\nB -> C"))
+    assert deficiency(parse_network("A -> B\nB -> A")).weakly_reversible
+    assert deficiency(parse_network("A -> B\nB -> C\nC -> A")).weakly_reversible
+    assert not deficiency(parse_network("A -> B\nB -> C")).weakly_reversible
+    assert not deficiency(parse_network("A -> B\nB -> A\nB -> C")).weakly_reversible
 
 
 def _returns_along_every_reaction(net) -> bool:
@@ -128,11 +147,17 @@ def test_deficiency_classic_values():
 
 
 def test_deficiency_not_applicable():
-    rep = deficiency(parse_network("A -> B\nA -> C"))
+    from crnmss.decide import check_deficiency_zero, network_facts
+
+    net = parse_network("A -> B\nA -> C")
+    rep = deficiency(net)
     assert not rep.applicable
     assert rep.total is None
     assert rep.per_class is None
-    assert rep.reason is not None
+    assert check_deficiency_zero(network_facts(net)) == (
+        "deficiency formula not applicable: some linkage class contains more "
+        "than one terminal strong linkage class"
+    )
 
 
 def test_deficiency_per_class_sums_to_at_most_total():
@@ -161,7 +186,9 @@ def test_deficiency_per_class_matches_rebuilt_reaction_vectors(seed):
     complexes = net.complexes()
     s = net.num_species
     expected = []
-    for lc in linkage_classes(net):
+    index = net.complex_index
+    edges = [(index[rxn.reactant], index[rxn.product]) for rxn in net.reactions]
+    for lc in strong_components(len(index), edges + [(v, u) for u, v in edges]):
         members = {complexes[i] for i in lc}
         vectors = [
             [rxn.product.coeff(i) - rxn.reactant.coeff(i) for i in range(s)]
@@ -173,20 +200,21 @@ def test_deficiency_per_class_matches_rebuilt_reaction_vectors(seed):
     assert rep.per_class == tuple(expected)
 
 
-def test_network_facts_builds_the_complex_graph_at_most_twice(monkeypatch):
+def test_network_facts_finds_strong_components_twice(monkeypatch):
     import crnmss.structure
     from crnmss.decide import network_facts
 
     calls = []
-    build = crnmss.structure._complex_graph
+    find = crnmss.structure.strong_components
 
-    def counting(net):
-        calls.append(net)
-        return build(net)
+    def counting(num_nodes, edges):
+        calls.append(edges)
+        return find(num_nodes, edges)
 
-    monkeypatch.setattr(crnmss.structure, "_complex_graph", counting)
+    # once on the complex graph, once with every edge also reversed
+    monkeypatch.setattr(crnmss.structure, "strong_components", counting)
     network_facts(parse_network("A -> B\nB -> A\nB -> C\n2 C <-> D"))
-    assert len(calls) <= 2
+    assert len(calls) == 2
 
 
 def test_network_facts_lists_the_complexes_once(monkeypatch):
@@ -239,13 +267,7 @@ def test_strong_components_match_mutual_reachability(seed):
     rng = random.Random(seed)
     n = rng.randint(0, 8)
     edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 12))] if n else []
-    reach = [[u == v for v in range(n)] for u in range(n)]
-    for u, v in edges:
-        reach[u][v] = True
-    for w in range(n):  # Warshall's transitive closure
-        for u in range(n):
-            for v in range(n):
-                reach[u][v] = reach[u][v] or (reach[u][w] and reach[w][v])
+    reach = _closure(n, edges)
     expected = []
     for u in range(n):
         group = [v for v in range(n) if reach[u][v] and reach[v][u]]
