@@ -69,9 +69,3 @@ def rank_frac(matrix: Sequence[Sequence[Fraction | int]]) -> int:
         scale = math.lcm(*(x.denominator for x in row))
         rows.append([x.numerator * (scale // x.denominator) for x in row])
     return rank_int(rows)
-
-
-def submatrix(
-    matrix: Sequence[Sequence[int]], rows: Sequence[int], cols: Sequence[int]
-) -> list[list[int]]:
-    return [[matrix[i][j] for j in cols] for i in rows]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import rank_int, submatrix
+from .linalg import rank_int
 from .network import ReactionNetwork, StoichData
 
 
@@ -77,7 +77,7 @@ def deficiency(net: ReactionNetwork) -> DeficiencyReport:
     def class_rank(lc: list[int]) -> int:
         members = set(lc)
         cols = [j for j, rxn in enumerate(net.reactions) if index[rxn.reactant] in members]
-        return rank_int(submatrix(data.stoich_matrix, range(net.num_species), cols))
+        return rank_int([[row[j] for j in cols] for row in data.stoich_matrix])
 
     total = per_class = None
     if applicable:

@@ -1,156 +1,90 @@
 """Univariate polynomials over the rationals with Sturm root counting.
 
-Coefficients are stored dense, ascending by degree, with an exact
-Fraction for each.  Sturm sequence elements are reduced to primitive
-integer form after every remainder step (a positive rescaling, so sign
-variation counts are unchanged) to keep coefficient growth in check.
+A polynomial is a coefficient sequence, ascending by degree, whose entries
+are anything ``Fraction()`` accepts.  Sturm chains run on primitive integer
+tuples: every rescaling on the way is by a positive factor, so sign
+variation counts are unchanged, and coefficient growth stays in check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd
+from math import ceil, gcd, lcm
 from typing import Sequence
 
 
-@dataclass(frozen=True)
-class UniPoly:
-    coeffs: tuple[Fraction, ...]  # coeffs[i] multiplies a^i; no trailing zeros
-
-    @classmethod
-    def of(cls, coeffs: Sequence[Fraction | int | str]) -> "UniPoly":
-        vals = [Fraction(c) for c in coeffs]
-        while vals and vals[-1] == 0:
-            vals.pop()
-        return cls(tuple(vals))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else -1
-
-    def leading(self) -> Fraction:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __call__(self, x: Fraction | int) -> Fraction:
-        out = Fraction(0)
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly.of([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def shift_down(self) -> tuple["UniPoly", int]:
-        """Factor out the highest power of a dividing the polynomial."""
-        if self.is_zero:
-            return self, 0
-        k = 0
-        while self.coeffs[k] == 0:
-            k += 1
-        return UniPoly.of(self.coeffs[k:]), k
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly.of([-c for c in self.coeffs])
+def primitive(coeffs: Sequence[Fraction | int | str]) -> tuple[int, ...]:
+    """The polynomial rescaled by a positive rational to coprime integers,
+    trailing zeros dropped; () for the zero polynomial."""
+    vals = [Fraction(c) for c in coeffs]
+    while vals and vals[-1] == 0:
+        vals.pop()
+    den = lcm(*(v.denominator for v in vals))
+    ints = [v.numerator * (den // v.denominator) for v in vals]
+    g = gcd(*ints) or 1
+    return tuple(v // g for v in ints)
 
 
-def _rem(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Remainder of a by b over the rationals."""
-    if b.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a.coeffs)
-    db, lb = b.degree, b.leading()
-    while len(r) - 1 >= db and any(c != 0 for c in r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < db:
-            break
-        f = r[-1] / lb
-        shift = len(r) - 1 - db
-        for i, c in enumerate(b.coeffs):
-            r[shift + i] -= f * c
-        r.pop()
-    return UniPoly.of(r)
+def _rem(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """Remainder of a by b up to a positive factor, in primitive form.
+
+    Each step scales the partial remainder by |lead(b)| before it cancels
+    the leading term, so everything stays integral.
+    """
+    r = list(a)
+    lb = b[-1]
+    while len(r) >= len(b):
+        f = r.pop() if lb > 0 else -r.pop()
+        if f:
+            shift = len(r) - len(b) + 1
+            r = [abs(lb) * c for c in r]
+            for i, c in enumerate(b[:-1]):
+                r[shift + i] -= f * c
+    return primitive(r)
 
 
-def _primitive(p: UniPoly) -> UniPoly:
-    """Primitive integer form; the rescaling factor is always positive."""
-    if p.is_zero:
-        return p
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    return UniPoly.of([Fraction(v, g) for v in ints])
-
-
-def sturm_sequence(p: UniPoly) -> list[UniPoly]:
-    """Canonical Sturm chain of p (primitive-reduced at every step)."""
-    if p.is_zero:
+def sturm_sequence(p: Sequence[Fraction | int | str]) -> list[tuple[int, ...]]:
+    """Canonical Sturm chain of p, each member in primitive integer form."""
+    chain = [primitive(p)]
+    if not chain[0]:
         raise ValueError("Sturm sequence of the zero polynomial")
-    chain = [_primitive(p)]
-    d = p.derivative()
-    if d.is_zero:
-        return chain
-    chain.append(_primitive(d))
-    while True:
-        r = _rem(chain[-2], chain[-1])
-        if r.is_zero:
-            return chain
-        chain.append(_primitive(-r))
+    r = primitive([i * c for i, c in enumerate(chain[0])][1:])
+    while r:
+        chain.append(r)
+        r = tuple(-c for c in _rem(chain[-2], chain[-1]))
+    return chain
 
 
-def _variations(signs: Sequence[int]) -> int:
-    count = 0
-    prev = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev != 0 and s != prev:
-            count += 1
-        prev = s
-    return count
+def _variations(values: Sequence[int]) -> int:
+    """Sign changes along the nonzero values."""
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+def _without_zero_roots(p: Sequence[Fraction | int | str]) -> tuple[int, ...]:
+    """Primitive form of p with its roots at zero divided out."""
+    q = primitive(p)
+    if not q:
+        raise ValueError("positive root count of the zero polynomial")
+    return q[next(i for i, c in enumerate(q) if c):]
 
 
-def positive_root_count(p: UniPoly) -> tuple[int, bool]:
+def positive_root_count(p: Sequence[Fraction | int | str]) -> tuple[int, bool]:
     """(number of distinct positive real roots, all of them simple?).
 
     Roots at zero are factored out first so the left endpoint is sound.
     The simplicity flag refers to the original polynomial's positive
     roots: it is True iff gcd(p, p') has no positive root.
     """
-    if p.is_zero:
-        raise ValueError("positive root count of the zero polynomial")
-    reduced, _ = p.shift_down()
-    if reduced.degree == 0:
-        return 0, True
-    chain = sturm_sequence(reduced)
-    v0 = _variations([_sign(q(Fraction(0))) for q in chain])
-    vinf = _variations([_sign(q.leading()) for q in chain])
-    count = v0 - vinf
+    chain = sturm_sequence(_without_zero_roots(p))
+    # values at 0 are the constant terms, signs at +infinity the leading ones
+    count = _variations([c[0] for c in chain]) - _variations([c[-1] for c in chain])
+    # the final chain element is gcd(p, p') up to a positive factor
     tail = chain[-1]
-    if tail.degree == 0:
-        simple = True
-    else:
-        # the final chain element is gcd(p, p') up to a positive factor
-        simple = positive_root_count(tail)[0] == 0
-    return count, simple
+    return count, len(tail) == 1 or positive_root_count(tail)[0] == 0
 
 
-def stable_positive_root_count(p: UniPoly) -> tuple[int, int]:
+def stable_positive_root_count(p: Sequence[Fraction | int | str]) -> tuple[int, int]:
     """(distinct positive roots, how many are stable as 1-d steady states).
 
     A root is stable when the polynomial crosses downward there.  Requires
@@ -161,17 +95,19 @@ def stable_positive_root_count(p: UniPoly) -> tuple[int, int]:
     count, simple = positive_root_count(p)
     if not simple:
         raise ValueError("multiple positive root detected; stability is undefined")
-    reduced, _ = p.shift_down()
-    return count, (count + (reduced.coeffs[0] > 0)) // 2
+    return count, (count + (_without_zero_roots(p)[0] > 0)) // 2
 
 
 def family_polynomial(
     family: str, m: int, n: int, rates: Sequence[Fraction | int | str]
-) -> UniPoly:
-    """Steady-state polynomial of the one-species families.
+) -> tuple[Fraction, ...]:
+    """Steady-state polynomial of the one-species families, ascending by
+    degree with trailing zeros dropped.
 
     family "G"    rates (s, l, k):        s - l a + (n-m) k a^m
     family "Gbar" rates (s, l, kp, km):   s - l a + (n-m) kp a^m - (n-m) km a^n
+
+    G is Gbar with km = 0.
     """
     if m < 1 or n < 1 or m == n:
         raise ValueError("family parameters require m, n >= 1 and m != n")
@@ -179,27 +115,25 @@ def family_polynomial(
     if family == "G":
         if len(vals) != 3:
             raise ValueError("family G takes rates (s, l, k)")
-        s, l, k = vals
-        if s <= 0 or l <= 0 or k <= 0:
+        if min(vals) <= 0:
             raise ValueError("rates must be positive")
-        coeffs = [Fraction(0)] * (m + 1)
-        coeffs[0] = s
-        coeffs[1] += -l
-        coeffs[m] += (n - m) * k
-        return UniPoly.of(coeffs)
-    if family == "Gbar":
+        vals.append(Fraction(0))
+    elif family == "Gbar":
         if len(vals) != 4:
             raise ValueError("family Gbar takes rates (s, l, k_forward, k_backward)")
-        s, l, kp, km = vals
-        if s <= 0 or l <= 0 or kp <= 0 or km < 0:
+        if min(vals[:3]) <= 0 or vals[3] < 0:
             raise ValueError("rates must be positive (backward rate may be zero)")
-        coeffs = [Fraction(0)] * (max(m, n) + 1)
-        coeffs[0] = s
-        coeffs[1] += -l
-        coeffs[m] += (n - m) * kp
-        coeffs[n] += -(n - m) * km
-        return UniPoly.of(coeffs)
-    raise ValueError(f"unknown one-species family {family!r}")
+    else:
+        raise ValueError(f"unknown one-species family {family!r}")
+    s, l, kp, km = vals
+    coeffs = [Fraction(0)] * (max(m, n) + 1)
+    coeffs[0] = s
+    coeffs[1] -= l
+    coeffs[m] += (n - m) * kp
+    coeffs[n] -= (n - m) * km
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 def two_root_rates(m: int, n: int) -> tuple[Fraction, Fraction, Fraction]:

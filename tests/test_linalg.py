@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
-from crnmss.linalg import det_int, rank_frac, rank_int, submatrix
+from crnmss.linalg import det_int, rank_frac, rank_int
 
 
 def det_by_permutation_expansion(matrix):
@@ -82,9 +82,3 @@ def test_rank_frac_agrees_with_rank_int():
         m = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
         scaled = [[Fraction(v, 3) for v in row] for row in m]
         assert rank_frac(scaled) == rank_int(m)
-
-
-def test_mat_vec_transpose_submatrix():
-    m = [[1, 2, 3], [4, 5, 6]]
-    assert submatrix(m, [1], [0, 2]) == [[4, 6]]
-    assert submatrix(m, [0, 1], [1]) == [[2], [5]]

@@ -22,7 +22,7 @@ from crnmss.embedding import (
     sen_is_relevant,
 )
 from crnmss.families import FamilySpec, generate
-from crnmss.linalg import det_int, submatrix
+from crnmss.linalg import det_int
 from crnmss.network import Complex, Reaction, make_network, parse_network
 from crnmss.structure import stoich
 from helpers import random_cfstr, random_network
@@ -258,8 +258,8 @@ def reference_minors(net):
     first = None
     for species_subset in itertools.combinations(range(net.num_species), k):
         for rxn_subset in itertools.combinations(range(net.num_reactions), k):
-            d1 = det_int(submatrix(data.stoich_matrix, species_subset, rxn_subset))
-            d2 = det_int(submatrix(data.reactant_matrix, rxn_subset, species_subset))
+            d1 = det_int([[data.stoich_matrix[i][j] for j in rxn_subset] for i in species_subset])
+            d2 = det_int([[data.reactant_matrix[j][i] for i in species_subset] for j in rxn_subset])
             value = d1 * d2
             if value == 0:
                 continue
