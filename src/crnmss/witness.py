@@ -4,6 +4,11 @@ Multistart damped Newton on the mass-action right-hand side.  Each step
 is capped at 0.99 of the distance to the boundary of the positive
 orthant; of the damped steps t, t/2, ..., t/2^40 the first whose iterate
 stays positive and strictly lowers the residual infinity norm is taken.
+A start tends to need about as many halvings as at its previous
+iteration, so its search resumes there: it first tries the levels 0 to
+one past the level it last took, then windows of about doubling length,
+with one batched evaluation per round for every pending start.  The
+windows cover the levels in order, so the step taken does not change.
 Every returned state is re-validated exactly: the coordinates are
 rationalized (floats convert to rationals without loss) and the residual
 and Jacobian rank are recomputed in exact arithmetic.
@@ -39,9 +44,9 @@ GRID_POINTS = (1e-2, 1e-1, 1.0, 10.0, 1e2)
 MAX_GRID_STARTS = 3125
 MAX_DAMPING_HALVINGS = 40
 MAX_NEWTON_ITERATIONS = 100
-# damping levels and rate samples are tried in blocks of doubling size up
-# to MAX_BLOCK; a block of rate samples also stays within about
-# MAX_BLOCK_ROWS Newton rows, but holds at least one sample
+# rate samples are drawn in blocks of doubling size up to MAX_BLOCK
+# samples; a block also stays within about MAX_BLOCK_ROWS Newton rows,
+# but holds at least one sample
 MAX_BLOCK = 16
 MAX_BLOCK_ROWS = 1024
 # t * HALVINGS[j] equals t halved j times, bit for bit, while the product
@@ -74,7 +79,9 @@ def _rhs_batch(x, exponents, gamma, rates):
     """Right-hand side at each row of x; rates is one rate vector or one
     per row.  ``einsum`` keeps each row's sums independent of the others
     (a BLAS ``@`` may sum a row differently in a different batch)."""
-    monomials = rates * np.exp(np.einsum("ij,kj->ik", np.log(x), exponents))
+    monomials = np.einsum("ij,kj->ik", np.log(x), exponents)
+    np.exp(monomials, out=monomials)
+    monomials *= rates
     return np.einsum("ij,kj->ik", monomials, gamma), monomials
 
 
@@ -122,6 +129,7 @@ def _newton_all_starts(starts, exponents, gamma, rates):
     rates = np.broadcast_to(rates, (n, len(exponents)))
     alive = np.ones(n, dtype=bool)
     converged = np.zeros(n, dtype=bool)
+    last = np.zeros(n, dtype=np.intp)  # damping level taken at the last step
     for _ in range(MAX_NEWTON_ITERATIONS):
         active = np.where(alive & ~converged)[0]
         if active.size == 0:
@@ -145,30 +153,52 @@ def _newton_all_starts(starts, exponents, gamma, rates):
         )
         if work.size == 0:
             continue
-        rw = rates[work]
         # cap the step so iterates stay strictly positive, then take the
         # first of t, t/2, ..., t/2^MAX_DAMPING_HALVINGS that strictly
-        # lowers the residual; the levels are tried in blocks of doubling
-        # size, one batched evaluation per block
+        # lowers the residual.  A start tries the levels lo..hi-1 of its
+        # window, first 0..last+1, then [hi, 2 hi + 1) after a window
+        # without success, so the windows cover the levels in order and
+        # its first success is still the one taken.  Each round evaluates
+        # every pending window in one batch, grouped by start
         caps = np.where(steps < 0, -xw / steps, np.inf)
         t = np.minimum(1.0, 0.99 * caps.min(axis=1))
         pending = np.arange(len(work))
-        for lo, hi in _doubling_blocks(MAX_DAMPING_HALVINGS + 1, MAX_BLOCK):
-            if pending.size == 0:
-                break
-            levels = t[pending, None] * HALVINGS[lo:hi]
-            trial = xw[pending, None] + levels[:, :, None] * steps[pending, None]
-            positive = (trial > 0).all(axis=2)
-            trial_safe = np.clip(trial, 1e-300, None).reshape(-1, xw.shape[1])
-            trial_rates = np.repeat(rw[pending], hi - lo, axis=0)
-            f_try, _ = _rhs_batch(trial_safe, exponents, gamma, trial_rates)
-            res_try = np.max(np.abs(f_try), axis=1).reshape(levels.shape)
-            better = positive & (res_try < resw[pending, None])
-            hit = better.any(axis=1)
-            first = better[hit].argmax(axis=1)
-            x[work[pending[hit]]] = trial[hit, first]
-            pending = pending[~hit]
-        alive[work[pending]] = False
+        lo = np.zeros(len(work), dtype=np.intp)
+        hi = np.minimum(last[work] + 2, len(HALVINGS))
+        while pending.size:
+            counts = hi - lo
+            heads = np.cumsum(counts) - counts
+            owner = np.repeat(pending, counts)
+            row = np.arange(len(owner))
+            level = row - np.repeat(heads - lo, counts)
+            trial = steps[owner]
+            trial *= (t[owner] * HALVINGS[level])[:, None]
+            trial += xw[owner]
+            # positivity and the residual infinity norm as elementwise
+            # chains over the few columns: the same values as reductions
+            # along them, at less cost
+            positive = trial[:, 0] > 0
+            for column in trial.T[1:]:
+                positive &= column > 0
+            np.clip(trial, 1e-300, None, out=trial)
+            f_try = _rhs_batch(trial, exponents, gamma, rates[work[owner]])[0]
+            np.abs(f_try, out=f_try)
+            res_try = f_try[:, 0].copy()
+            for column in f_try.T[1:]:
+                np.maximum(res_try, column, out=res_try)
+            better = positive & (res_try < resw[owner])
+            first = np.minimum.reduceat(np.where(better, row, len(row)), heads)
+            hit = first < len(row)
+            # the accepted trials, recomputed unclipped by the same operations
+            won, won_level = pending[hit], level[first[hit]]
+            damped = (t[won] * HALVINGS[won_level])[:, None] * steps[won]
+            x[work[won]] = xw[won] + damped
+            last[work[won]] = won_level
+            pending, lo = pending[~hit], hi[~hit]
+            hi = np.minimum(2 * lo + 1, len(HALVINGS))
+            spent = lo == len(HALVINGS)
+            alive[work[pending[spent]]] = False
+            pending, lo, hi = pending[~spent], lo[~spent], hi[~spent]
     return [tuple(float(v) for v in x[i]) if converged[i] else None for i in range(n)]
 
 

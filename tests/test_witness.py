@@ -1,5 +1,6 @@
 """Tests for the numeric steady-state search."""
 
+import functools
 import random
 from fractions import Fraction
 from unittest import mock
@@ -147,8 +148,11 @@ def test_rate_below_the_smallest_float_is_rejected():
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def sequential_halving_newton(starts, exponents, gamma, rates):
-    """The damping loop that tries one halving of t at a time."""
+def sequential_halving_newton(starts, exponents, gamma, rates, log=None):
+    """The damping loop that tries one halving of t at a time.  If log is
+    a list, it gets one entry per iteration: the number of active starts
+    and, for each start that reaches the damping loop, the level it took
+    (-1 for none)."""
     x = np.array(starts, dtype=float)
     n = len(x)
     alive = np.ones(n, dtype=bool)
@@ -157,6 +161,9 @@ def sequential_halving_newton(starts, exponents, gamma, rates):
         active = np.where(alive & ~converged)[0]
         if active.size == 0:
             break
+        taken = {}
+        if log is not None:
+            log.append((active.size, taken))
         f_act, mon_act = witness._rhs_batch(x[active], exponents, gamma, rates)
         res_act = np.max(np.abs(f_act), axis=1)
         done = res_act < witness.RESIDUAL_TOL
@@ -180,7 +187,8 @@ def sequential_halving_newton(starts, exponents, gamma, rates):
             caps = np.where(steps < 0, -xw / steps, np.inf)
         t = np.minimum(1.0, 0.99 * caps.min(axis=1))
         accepted = np.zeros(len(work), dtype=bool)
-        for _halving in range(witness.MAX_DAMPING_HALVINGS + 1):
+        taken.update((int(i), -1) for i in work)
+        for halving in range(witness.MAX_DAMPING_HALVINGS + 1):
             pending = np.where(~accepted)[0]
             if pending.size == 0:
                 break
@@ -192,6 +200,7 @@ def sequential_halving_newton(starts, exponents, gamma, rates):
             good = pending[better]
             x[work[good]] = trial[better]
             accepted[good] = True
+            taken.update((int(i), halving) for i in work[good])
             t[pending[~better]] /= 2
         alive[work[~accepted]] = False
     return [tuple(float(v) for v in x[i]) for i in np.where(converged)[0]]
@@ -213,6 +222,105 @@ def test_block_damping_matches_sequential_halving(seed):
     expected = sequential_halving_newton(starts, exponents, gamma, rates)
     found = witness._newton_all_starts(starts, exponents, gamma, rates)
     assert [x for x in found if x is not None] == expected
+
+
+INTRO_2 = "0 <-> A\n0 <-> B\n0 <-> C\n2 A <-> A + B\nA + C <-> B + C"
+TRAFFIC_SAMPLES = 3
+
+
+@functools.cache
+def benchmark_traffic():
+    """Newton runs like those of the witness benchmark: each bundled atom
+    (fully open) and intro-2 from the full start grid at the first rate
+    samples of a seed-0 rate search, the samples in one batch.  Each run
+    holds the batched inputs, the starts per sample, and per sample the
+    sequential reference's converged points and log."""
+    nets = [fully_open_extension(load_atom(i)) for i in range(1, NUM_ATOMS + 1)]
+    runs = []
+    for net in nets + [parse_network(INTRO_2)]:
+        data = stoich(net)
+        exponents = np.array(data.reactant_matrix, dtype=float)
+        gamma = np.array(data.stoich_matrix, dtype=float)
+        rng = random.Random(0)
+        samples = np.array(
+            [
+                [10.0 ** rng.uniform(-3.0, 3.0) for _ in range(net.num_reactions)]
+                for _ in range(TRAFFIC_SAMPLES)
+            ]
+        )
+        starts = witness._default_starts(net.num_species, 0)
+        args = (starts * TRAFFIC_SAMPLES, exponents, gamma)
+        rates = np.repeat(samples, len(starts), axis=0)
+        reference = []
+        for kappa in samples:
+            log = []
+            found = sequential_halving_newton(starts, exponents, gamma, kappa, log)
+            reference.append((found, log))
+        runs.append((args, rates, len(starts), reference))
+    return runs
+
+
+def window_work(last, took):
+    """Trial rows and rounds that the damping windows spend on one start
+    whose previous step took level last and whose first success is at
+    level took (-1 for none)."""
+    levels = witness.MAX_DAMPING_HALVINGS + 1
+    lo, hi = 0, min(last + 2, levels)
+    rows = rounds = 0
+    while True:
+        rows, rounds = rows + hi - lo, rounds + 1
+        if lo <= took < hi or hi == levels:
+            return rows, rounds
+        lo, hi = hi, min(2 * hi + 1, levels)
+
+
+def test_damping_windows_match_sequential_halving_on_benchmark_traffic():
+    top_level, stuck = 0, 0
+    for args, rates, m, reference in benchmark_traffic():
+        found = witness._newton_all_starts(*args, rates)
+        for i, (expected, log) in enumerate(reference):
+            assert [x for x in found[i * m : (i + 1) * m] if x is not None] == expected
+            taken = [level for _, step in log for level in step.values()]
+            top_level = max([top_level, *taken])
+            stuck += taken.count(-1)
+            if len(log) == witness.MAX_NEWTON_ITERATIONS:
+                stuck += sum(level >= 0 for level in log[-1][1].values())
+    # the traffic needs the deepest windows and holds starts that run out
+    # of levels or iterations
+    assert top_level >= 31
+    assert stuck > 0
+
+
+def test_damping_windows_evaluate_the_rows_their_rule_names():
+    rhs = witness._rhs_batch
+    for args, rates, _, reference in benchmark_traffic():
+        evaluated = []
+
+        def counted(x, *rest):
+            evaluated.append(len(x))
+            return rhs(x, *rest)
+
+        with mock.patch.object(witness, "_rhs_batch", counted):
+            witness._newton_all_starts(*args, rates)
+        # the batch runs the samples' iterations side by side: iteration k
+        # evaluates its active starts once, then as many rounds of windows
+        # as its slowest start needs
+        expected_rows = expected_calls = 0
+        lasts = [{} for _ in reference]
+        for k in range(max(len(log) for _, log in reference)):
+            rounds = 0
+            for (_, log), last in zip(reference, lasts):
+                if k >= len(log):
+                    continue
+                active, taken = log[k]
+                expected_rows += active
+                for start, took in taken.items():
+                    rows, needed = window_work(last.get(start, 0), took)
+                    expected_rows += rows
+                    rounds = max(rounds, needed)
+                last.update(taken)
+            expected_calls += 1 + rounds
+        assert (len(evaluated), sum(evaluated)) == (expected_calls, expected_rows)
 
 
 def test_singular_matrix_in_a_batch_is_solved_around():
