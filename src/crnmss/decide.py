@@ -27,7 +27,7 @@ from .embedding import (
     orientation,
     sen_is_relevant,
 )
-from .lp import LPResult, solve_feasibility
+from .lp import solve_feasibility
 from .network import ReactionNetwork, render_network, render_reaction
 from .structure import DeficiencyReport, deficiency, stoich
 
@@ -238,10 +238,10 @@ def injectivity_signvectors(net: ReactionNetwork) -> InjectivityReport:
 
     def kernel_realizable(tau: SignVector) -> bool:
         zero_rows, one_rows = _sign_constraints(tau)
-        return solve_feasibility(2 * r, gamma_zero + zero_rows, one_rows).feasible
+        return solve_feasibility(2 * r, gamma_zero + zero_rows, one_rows) is not None
 
     def subspace_realizable(sigma_pat: SignVector) -> bool:
-        return solve_feasibility(2 * r, *_sign_constraints(sigma_pat, rows=gamma_rows)).feasible
+        return solve_feasibility(2 * r, *_sign_constraints(sigma_pat, rows=gamma_rows)) is not None
 
     # sign patterns of kernel vectors; negating the witness x mirrors both
     # patterns at once, so half the tau candidates suffice provided the
@@ -261,7 +261,7 @@ def injectivity_signvectors(net: ReactionNetwork) -> InjectivityReport:
         for sigma_pat in subspace_signs:
             zero_x, one_x = _sign_constraints(sigma_pat)
             zero_mx, one_mx = _sign_constraints(tau, rows=reactant_rows)
-            if solve_feasibility(2 * s, zero_x + zero_mx, one_x + one_mx).feasible:
+            if solve_feasibility(2 * s, zero_x + zero_mx, one_x + one_mx) is not None:
                 return InjectivityReport("not-injective")
     return InjectivityReport("injective")
 
@@ -303,8 +303,8 @@ def cfstr_injectivity(net: ReactionNetwork) -> InjectivityReport:
 # positive dependence
 
 
-def positive_dependence(net: ReactionNetwork) -> LPResult:
-    """Is there alpha > 0 with Gamma alpha = 0?  (Normalized to alpha >= 1.)
+def positive_dependence(net: ReactionNetwork) -> tuple[Fraction, ...] | None:
+    """An alpha >= 1 with Gamma alpha = 0 (alpha > 0 up to scale), or None.
 
     This is the LP route, which ``analyze`` calls only when structure is
     silent.
@@ -319,9 +319,6 @@ def positive_dependence(net: ReactionNetwork) -> LPResult:
 
 @dataclass(frozen=True)
 class OneReactionClassification:
-    reactant: tuple[int, ...]
-    product: tuple[int, ...]
-    reversible: bool
     forward_sum: int
     backward_sum: int
     multistationary: bool
@@ -348,7 +345,7 @@ def classify_one_nonflow_fully_open(
     forward = sum(ai for ai, bi in zip(av, bv) if bi > ai)
     backward = sum(bi for ai, bi in zip(av, bv) if ai > bi)
     mss = forward > 1 or (reversible and backward > 1)
-    return OneReactionClassification(av, bv, reversible, forward, backward, mss)
+    return OneReactionClassification(forward, backward, mss)
 
 
 def _single_nonflow_shape(net: ReactionNetwork):
@@ -430,10 +427,9 @@ def determinant_optimization(net: ReactionNetwork) -> DetOptCertificate | None:
         # rows are those of -Gamma at the SEN's reactions
         k = len(sen.reactions)
         rows = [[-row[j] for j in sen.reaction_indices] for row in gamma]
-        result = solve_feasibility(k, one_rows=rows + _unit_rows(k))
-        if result.feasible:
-            assert result.witness is not None
-            cert = DetOptCertificate(sen, result.witness, value)
+        eta = solve_feasibility(k, one_rows=rows + _unit_rows(k))
+        if eta is not None:
+            cert = DetOptCertificate(sen, eta, value)
             assert det_opt_condition(cert.sen, cert.eta)
             return cert
     return None
@@ -533,7 +529,7 @@ def _positive_dependence_stage(net, facts):
     elif any(any(row) and (min(row) >= 0 or max(row) <= 0) for row in stoich(net).stoich_matrix):
         holds = False
     else:
-        holds = positive_dependence(net).feasible
+        holds = positive_dependence(net) is not None
     if holds:
         return "positive dependence holds"
     return Verdict(
@@ -582,12 +578,13 @@ def _one_reaction_stage(net, facts):
     shape = _single_nonflow_shape(net)
     if shape is None or not facts.fully_open:
         return None
-    cls = classify_one_nonflow_fully_open(*shape)
+    a, b, reversible = shape
+    cls = classify_one_nonflow_fully_open(a, b, reversible)
     cert = {
         "kind": "one-reaction-formula",
-        "reactant": list(cls.reactant),
-        "product": list(cls.product),
-        "reversible": cls.reversible,
+        "reactant": list(a),
+        "product": list(b),
+        "reversible": reversible,
         "forward_sum": cls.forward_sum,
         "backward_sum": cls.backward_sum,
     }
@@ -623,7 +620,7 @@ def _numeric_stage(net, facts, budget, seed):
     from . import witness
 
     found = witness.rate_search(net, budget=budget, seed=seed)
-    if found is None or found.count_nondegenerate() < 2:
+    if found is None:
         return f"numeric search found no multiple steady states within budget {budget}"
     cert = {
         "kind": "numeric-witness",

@@ -24,16 +24,9 @@ elimination, dividing each updated row by its gcd keeps the integers small.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
-
-
-@dataclass(frozen=True)
-class LPResult:
-    feasible: bool
-    witness: tuple[Fraction, ...] | None
 
 
 def _phase1(rows: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
@@ -80,8 +73,9 @@ def solve_feasibility(
     num_vars: int,
     zero_rows: Sequence[Sequence[int]] = (),
     one_rows: Sequence[Sequence[int]] = (),
-) -> LPResult:
-    """Feasibility of {x >= 0 : Z x = 0, O x >= 1}, Z the zero and O the one rows."""
+) -> tuple[Fraction, ...] | None:
+    """A point of {x >= 0 : Z x = 0, O x >= 1}, Z the zero and O the one
+    rows, or None if there is none (the point is () with no variables)."""
     given = [*zero_rows, *one_rows]
     for row in given:
         if len(row) != num_vars:
@@ -92,7 +86,7 @@ def solve_feasibility(
     n_zero, n_one = len(zero_rows), len(one_rows)
     rows = [[*row, *(-(i == n_zero + k) for k in range(n_one))] for i, row in enumerate(given)]
     point = _phase1(rows, [0] * n_zero + [1] * n_one) if rows else [Fraction(0)] * num_vars
-    return LPResult(False, None) if point is None else LPResult(True, tuple(point[:num_vars]))
+    return None if point is None else tuple(point[:num_vars])
 
 
 def check_witness(

@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .linalg import rank_int
@@ -221,12 +220,6 @@ class ReactionNetwork:
                     seen.add(cpx)
                     out.append(cpx)
         return tuple(out)
-
-    @functools.cached_property
-    def complex_index(self) -> Mapping[Complex, int]:
-        """Each complex's position in ``complexes()``, read-only and built
-        once per network; equality and hashing ignore it."""
-        return MappingProxyType({cpx: i for i, cpx in enumerate(self.complexes())})
 
     def __eq__(self, other: object) -> bool:
         # Reaction order is irrelevant; species order (and names) matter.

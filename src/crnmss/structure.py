@@ -64,7 +64,7 @@ def deficiency(net: ReactionNetwork) -> DeficiencyReport:
     is weakly reversible iff no edge leaves its strong class.
     """
     data = stoich(net)
-    index = net.complex_index
+    index = {cpx: i for i, cpx in enumerate(net.complexes())}
     p = len(index)
     edges = [(index[rxn.reactant], index[rxn.product]) for rxn in net.reactions]
     strong = strong_components(p, edges)

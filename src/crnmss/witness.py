@@ -151,8 +151,6 @@ def _newton_all_starts(starts, exponents, gamma, rates):
             steps[solvable],
             resw[solvable],
         )
-        if work.size == 0:
-            continue
         # cap the step so iterates stay strictly positive, then take the
         # first of t, t/2, ..., t/2^MAX_DAMPING_HALVINGS that strictly
         # lowers the residual.  A start tries the levels lo..hi-1 of its

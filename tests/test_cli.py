@@ -169,6 +169,32 @@ def test_check_text_prints_a_multiline_certificate_value_indented(tmp_path, caps
     assert "  species_map: [0, 1]\n" in out
 
 
+def test_check_text_prints_the_numeric_witness(capsys, monkeypatch):
+    # with no exact stage, atom 1 concludes in the numeric stage
+    monkeypatch.setattr("crnmss.decide.STAGES", {})
+    monkeypatch.setattr(sys, "stdin", io.StringIO(render_network(load_atom(1))))
+    assert main(["check", "-", "--budget", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "certificate: numeric-witness\n  states: 2\n  nondegenerate_states: 2\n" in out
+    # no stage left a note, so the witness closes the report
+    kappa, states, *rows = out.splitlines()[-4:]
+    assert kappa.startswith("kappa: ") and len(kappa.split(", ")) == 6
+    assert states == "states: 2"
+    assert all(row.startswith("  [") and "nondegenerate" in row for row in rows)
+
+
+def test_witness_fully_open_flag_searches_the_extension(capsys, monkeypatch):
+    text = "A -> 2 A\nA + B -> 0"
+    extension = render_network(fully_open_extension(parse_network(text)))
+    outputs = []
+    for stdin, flags in ((text, ["--fully-open"]), (extension, [])):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        assert main(["witness", "-", "--search", "--budget", "5", *flags]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "states: 2" in outputs[0]
+
+
 def test_check_fully_open_flag(tmp_path, capsys):
     path = write_net(tmp_path, "2 A -> 3 A")
     assert main(["check", path, "--fully-open"]) == 0

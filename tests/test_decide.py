@@ -33,7 +33,14 @@ from crnmss.decide import (
     positive_dependence,
 )
 from crnmss.cli import main
-from crnmss.embedding import find_embedding, fully_open_extension, is_cfstr, is_fully_open
+from crnmss.embedding import (
+    SquareEmbeddedNetwork,
+    find_embedding,
+    fully_open_extension,
+    is_cfstr,
+    is_fully_open,
+    orientation,
+)
 from crnmss.families import FamilySpec, generate, load_atom, load_atoms
 from crnmss.network import Complex, Reaction, ReactionNetwork, parse_network, render_network
 from crnmss.structure import deficiency, stoich
@@ -154,12 +161,12 @@ def test_cfstr_injectivity_agrees_with_minors():
 
 
 def test_positive_dependence():
-    assert not positive_dependence(parse_network("A -> B")).feasible
-    res = positive_dependence(parse_network("A <-> B"))
-    assert res.feasible
-    assert all(a >= 1 for a in res.witness)
-    assert res.witness[0] == res.witness[1]
-    assert positive_dependence(k_tilde(2, 3)).feasible
+    assert positive_dependence(parse_network("A -> B")) is None
+    alpha = positive_dependence(parse_network("A <-> B"))
+    assert alpha is not None
+    assert all(a >= 1 for a in alpha)
+    assert alpha[0] == alpha[1]
+    assert positive_dependence(k_tilde(2, 3)) is not None
 
 
 HOLDS = "positive dependence holds"
@@ -208,7 +215,7 @@ def test_positive_dependence_stage_agrees_with_the_lp(seed):
     opened = fully_open_extension(net)
     for source in (net, opened, reversible_closure(net)):
         outcome = dependence_stage(source)
-        if positive_dependence(source).feasible:
+        if positive_dependence(source) is not None:
             assert outcome == HOLDS
         else:
             assert outcome.status == NO_POSITIVE_STEADY_STATES
@@ -232,18 +239,18 @@ def test_deficiency_zero_networks_are_positively_dependent_iff_weakly_reversible
     for source in (net, fully_open_extension(net), reversible_closure(net)):
         report = network_facts(source).deficiency
         if report.applicable and report.total == 0:
-            assert positive_dependence(source).feasible == report.weakly_reversible
+            assert (positive_dependence(source) is not None) == report.weakly_reversible
 
 
 def test_positive_dependence_stage_reads_only_nonzero_rows():
     # A is only a catalyst: its zero row rules nothing out
     catalyst = parse_network("A + B -> A + C\nC -> B")
     assert not any(stoich(catalyst).stoich_matrix[0])
-    assert positive_dependence(catalyst).feasible
+    assert positive_dependence(catalyst) is not None
     assert dependence_stage(catalyst) == HOLDS
     # one-signed rows, also in a CFSTR network that is not fully open
     for text in ("A -> B", "A -> 0"):
-        assert not positive_dependence(parse_network(text)).feasible
+        assert positive_dependence(parse_network(text)) is None
         outcome = dependence_stage(parse_network(text))
         assert outcome.certificate == {"kind": "positive-dependence-failure"}
     facts = facts_of("A -> 0")
@@ -303,6 +310,30 @@ def test_determinant_optimization_sequestration():
     assert determinant_optimization(k_tilde(2, 4)) is None
     with pytest.raises(ValueError):
         determinant_optimization(parse_network("A -> B"))
+
+
+def whole_sen(text):
+    """The network as a SEN of itself: every reaction on every species."""
+    net = parse_network(text)
+    return SquareEmbeddedNetwork(
+        net, tuple(range(net.num_reactions)), tuple(range(net.num_species)), net.reactions
+    )
+
+
+def test_det_opt_condition_rejects_a_wrong_length_and_an_orientation_not_negative():
+    # certificate checkers rebuild the SEN and eta from a report, so each
+    # rejection must hold on its own: every other condition is met here
+    cert = determinant_optimization(k_tilde(2, 3))
+    assert not det_opt_condition(cert.sen, cert.eta + (1,))  # zip would drop the 1
+    assert not det_opt_condition(cert.sen, cert.eta[:-1])
+    # orientation 2 * 1 > 0, and eta = 1 gives species A the total 1
+    positive = whole_sen("2 A -> A")
+    assert orientation(positive) == 2
+    assert not det_opt_condition(positive, (1,))
+    # singular reactant matrix: orientation 0, and eta = (1, 1) totals (3, 2)
+    zero = whole_sen("A + B -> 0\n2 A + 2 B -> B")
+    assert orientation(zero) == 0
+    assert not det_opt_condition(zero, (1, 1))
 
 
 # Fully open networks of the seed-0 atlas benchmark corpus (open6-26,

@@ -72,7 +72,7 @@ def test_deficiency_classes_match_warshall_closure():
     def check(seed):
         net = random_network(random.Random(seed), max_species=3, max_reactions=6, max_coeff=1)
         for case in (net, fully_open_extension(net)):
-            index = case.complex_index
+            index = {cpx: i for i, cpx in enumerate(case.complexes())}
             n = len(index)
             edges = [(index[rxn.reactant], index[rxn.product]) for rxn in case.reactions]
             reach = _closure(n, edges)
@@ -186,7 +186,7 @@ def test_deficiency_per_class_matches_rebuilt_reaction_vectors(seed):
     complexes = net.complexes()
     s = net.num_species
     expected = []
-    index = net.complex_index
+    index = {cpx: i for i, cpx in enumerate(complexes)}
     edges = [(index[rxn.reactant], index[rxn.product]) for rxn in net.reactions]
     for lc in strong_components(len(index), edges + [(v, u) for u, v in edges]):
         members = {complexes[i] for i in lc}

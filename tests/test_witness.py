@@ -335,6 +335,18 @@ def test_singular_matrix_in_a_batch_is_solved_around():
             assert steps[i].tolist() == np.linalg.solve(jacs[i], rhs[i]).tolist()
 
 
+def test_a_start_with_a_singular_jacobian_dies_and_the_others_go_on():
+    # f(x) = 1 - 3x + x^2 has f'(x) = 0 exactly at x = 1.5; after the
+    # singular start is dropped the damping rounds may hold no start at all
+    data = stoich(parse_network("0 <-> A\n2 A -> 3 A"))
+    exponents = np.array(data.reactant_matrix, dtype=float)
+    gamma = np.array(data.stoich_matrix, dtype=float)
+    rates = np.array([1.0, 3.0, 1.0])
+    assert witness._newton_all_starts([(1.5,)], exponents, gamma, rates) == [None]
+    found = witness._newton_all_starts([(1.5,), (0.3,)], exponents, gamma, rates)
+    assert found == [None, (0.3819660112446401,)]
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_newton_rows_do_not_depend_on_their_batch(seed):
