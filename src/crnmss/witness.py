@@ -17,7 +17,10 @@ The rate search runs Newton on blocks of rate samples at once, each row
 of the batch with its own rates.  The float arithmetic is row-independent
 (``einsum`` products, elementwise maps and one LAPACK solve per matrix),
 so a start's Newton result does not depend on the rows that share its
-batch, and the search returns what one sample at a time would.
+batch, and the search returns what one sample at a time would.  Only the
+samples whose converged points dedup to two or more distinct points are
+validated: every validated state is one of them, so no other sample can
+hold two.
 """
 
 from __future__ import annotations
@@ -197,7 +200,7 @@ def _newton_all_starts(starts, exponents, gamma, rates):
             spent = lo == len(HALVINGS)
             alive[work[pending[spent]]] = False
             pending, lo, hi = pending[~spent], lo[~spent], hi[~spent]
-    return [tuple(float(v) for v in x[i]) if converged[i] else None for i in range(n)]
+    return [tuple(p) if ok else None for p, ok in zip(x.tolist(), converged.tolist())]
 
 
 def _relative_distance(a: Sequence[float], b: Sequence[float]) -> float:
@@ -305,12 +308,14 @@ def rate_search(
     The samples are drawn in blocks of doubling size (1, 2, 4, ... up to
     ``MAX_BLOCK`` samples and about ``MAX_BLOCK_ROWS`` Newton rows, at
     least one sample), and one Newton run covers every start of every
-    sample in the block.  Each sample is then validated by
-    ``witness_search`` from its converged points, in draw order, and the
-    search stops at the first hit.  The result is the one that running
-    ``witness_search`` on each sample in turn would give, and it is
-    deterministic for a fixed seed and budget; returns None when the
-    budget is exhausted.
+    sample in the block.  A sample whose converged points dedup to fewer
+    than two cannot hit, because each validated state is one of them, and
+    is skipped; every other sample is validated by ``witness_search``
+    from its deduplicated points (Newton stays where it starts there), in
+    draw order, and the search stops at the first hit.  The result is the
+    one that running ``witness_search`` on each sample in turn would
+    give, and it is deterministic for a fixed seed and budget; returns
+    None when the budget is exhausted.
     """
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
@@ -331,8 +336,10 @@ def rate_search(
         rates = np.repeat(np.array(block), m, axis=0)
         found = _newton_all_starts(starts * len(block), exponents, gamma, rates)
         for i, kappa in enumerate(block):
-            points = [p for p in found[i * m : (i + 1) * m] if p is not None]
-            witness = witness_search(net, [Fraction(k) for k in kappa], starts=points)
+            kept = _dedup(p for p in found[i * m : (i + 1) * m] if p is not None)
+            if len(kept) < 2:
+                continue
+            witness = witness_search(net, [Fraction(k) for k in kappa], starts=kept)
             if witness.count_nondegenerate() >= 2:
                 return witness
     return None

@@ -278,6 +278,11 @@ def test_damping_windows_match_sequential_halving_on_benchmark_traffic():
     top_level, stuck = 0, 0
     for args, rates, m, reference in benchmark_traffic():
         found = witness._newton_all_starts(*args, rates)
+        # builtin floats, as the JSON report and the exact validation read them
+        assert all(
+            p is None or (type(p) is tuple and all(type(v) is float for v in p))
+            for p in found
+        )
         for i, (expected, log) in enumerate(reference):
             assert [x for x in found[i * m : (i + 1) * m] if x is not None] == expected
             taken = [level for _, step in log for level in step.values()]
@@ -404,6 +409,52 @@ def test_batched_rate_search_matches_one_sample_loop(seed, budget, max_rows):
     assert (found is None) == (expected is None)
     if found is not None:
         assert found.to_json() == expected.to_json()
+
+
+def counted_rate_search(net, budget, misses=0):
+    """rate_search with witness_search wrapped: the result and every
+    witness_search result, the first ``misses`` of them stripped of their
+    states so that they cannot hit."""
+    calls = []
+    search = witness.witness_search
+
+    def counted(*args, **kwargs):
+        result = search(*args, **kwargs)
+        if len(calls) < misses:
+            result = witness.SteadyStateWitness(result.kappa, (), (), (), ())
+        calls.append(result)
+        return result
+
+    with mock.patch.object(witness, "witness_search", counted):
+        return rate_search(net, budget), calls
+
+
+def test_rate_search_validates_no_sample_of_intro_2():
+    found, calls = counted_rate_search(parse_network(INTRO_2), 50)
+    assert found is None
+    assert calls == []
+
+
+@pytest.mark.parametrize("misses", [0, 2])
+def test_rate_search_validates_only_samples_with_two_distinct_points(misses):
+    net = fully_open_extension(load_atom(1))
+    found, calls = counted_rate_search(net, 1000, misses)
+    assert found is not None and calls[-1] is found
+    # the rate samples in draw order, one Newton run each, up to the hit
+    data = stoich(net)
+    exponents = np.array(data.reactant_matrix, dtype=float)
+    gamma = np.array(data.stoich_matrix, dtype=float)
+    starts = witness._default_starts(net.num_species, 0)
+    rng = random.Random(0)
+    drawn, candidates = 0, []
+    while not candidates or candidates[-1] != found.kappa:
+        kappa = [10.0 ** rng.uniform(-3.0, 3.0) for _ in range(net.num_reactions)]
+        points = witness._newton_all_starts(starts, exponents, gamma, np.array(kappa))
+        drawn += 1
+        if len(witness._dedup(p for p in points if p is not None)) >= 2:
+            candidates.append(tuple(Fraction(k) for k in kappa))
+    assert [w.kappa for w in calls] == candidates
+    assert len(candidates) == misses + 1 < drawn
 
 
 def _block_rows(net, budget):
