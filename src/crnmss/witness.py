@@ -6,7 +6,7 @@ orthant; of the damped steps t, t/2, ..., t/2^40 the first whose iterate
 stays positive and strictly lowers the residual infinity norm is taken.
 A start tends to need about as many halvings as at its previous
 iteration, so its search resumes there: it first tries the levels 0 to
-one past the level it last took, then windows of about doubling length,
+one past the level it last took, then windows of about fourfold length,
 with one batched evaluation per round for every pending start.  The
 windows cover the levels in order, so the step taken does not change.
 Every returned state is re-validated exactly: the coordinates are
@@ -15,12 +15,13 @@ and Jacobian rank are recomputed in exact arithmetic.
 
 The rate search runs Newton on blocks of rate samples at once, each row
 of the batch with its own rates.  The float arithmetic is row-independent
-(``einsum`` products, elementwise maps and one LAPACK solve per matrix),
-so a start's Newton result does not depend on the rows that share its
-batch, and the search returns what one sample at a time would.  Only the
-samples whose converged points dedup to two or more distinct points are
-validated: every validated state is one of them, so no other sample can
-hold two.
+(``einsum`` products, elementwise maps and one LAPACK solve per matrix;
+the log-monomials come from one BLAS product only where every summation
+order gives the same bits, see ``_rhs_batch``), so a start's Newton
+result does not depend on the rows that share its batch, and the search
+returns what one sample at a time would.  Only the samples whose
+converged points dedup to two or more distinct points are validated:
+every validated state is one of them, so no other sample can hold two.
 """
 
 from __future__ import annotations
@@ -78,11 +79,35 @@ class SteadyStateWitness:
         }
 
 
-def _rhs_batch(x, exponents, gamma, rates):
+def _matmul_is_exact(exponents) -> bool:
+    """Whether every row of exponents has at most one nonzero entry, or
+    two that are both powers of two (see ``_rhs_batch``)."""
+    nonzero = exponents != 0
+    count = nonzero.sum(axis=1)
+    powers = np.frexp(exponents)[0] == 0.5  # mantissa 1/2: a power of two
+    return bool(np.all((count <= 1) | ((count == 2) & (powers | ~nonzero).all(axis=1))))
+
+
+def _rhs_batch(x, exponents, gamma, rates, matmul=False):
     """Right-hand side at each row of x; rates is one rate vector or one
     per row.  ``einsum`` keeps each row's sums independent of the others
-    (a BLAS ``@`` may sum a row differently in a different batch)."""
-    monomials = np.einsum("ij,kj->ik", np.log(x), exponents)
+    (a BLAS ``@`` may sum a row differently in a different batch).
+
+    With ``matmul`` the log-monomials are ``np.log(x) @ exponents.T``.
+    For positive finite x this gives the ``einsum``'s bits in every row
+    of every batch when ``_matmul_is_exact(exponents)`` holds: a row with
+    one nonzero exponent makes one rounded product, and a row with two
+    makes two exact products (scaling by a power of two is exact) and one
+    rounded sum, so each log-monomial is its exact value rounded once,
+    whatever the summation order, blocking or fused multiply-add.  A zero
+    exponent adds a signed zero, which changes no nonzero sum, and
+    exp(+0) = exp(-0) = 1.  (A damping trial that overflows to inf gets an
+    infinite or NaN residual either way, through its species' outflow in a
+    fully open network, so it is rejected either way.)"""
+    if matmul:
+        monomials = np.log(x) @ exponents.T
+    else:
+        monomials = np.einsum("ij,kj->ik", np.log(x), exponents)
     np.exp(monomials, out=monomials)
     monomials *= rates
     return np.einsum("ij,kj->ik", monomials, gamma), monomials
@@ -129,7 +154,9 @@ def _newton_all_starts(starts, exponents, gamma, rates):
     or one per start; the converged point of each start, or None."""
     x = np.array(starts, dtype=float)
     n = len(x)
-    rates = np.broadcast_to(rates, (n, len(exponents)))
+    rates = np.asarray(rates)
+    per_start = rates.ndim == 2  # else one vector, broadcast in _rhs_batch
+    matmul = _matmul_is_exact(exponents)
     alive = np.ones(n, dtype=bool)
     converged = np.zeros(n, dtype=bool)
     last = np.zeros(n, dtype=np.intp)  # damping level taken at the last step
@@ -137,16 +164,21 @@ def _newton_all_starts(starts, exponents, gamma, rates):
         active = np.where(alive & ~converged)[0]
         if active.size == 0:
             break
-        f_act, mon_act = _rhs_batch(x[active], exponents, gamma, rates[active])
+        f_act, mon_act = _rhs_batch(
+            x[active], exponents, gamma, rates[active] if per_start else rates, matmul
+        )
         res_act = np.max(np.abs(f_act), axis=1)
         done = res_act < RESIDUAL_TOL
         converged[active[done]] = True
         work = active[~done]
         if work.size == 0:
             continue
-        xw, fw, resw = x[work], f_act[~done], res_act[~done]
+        xw, resw = x[work], res_act[~done]
         jacs = _jac_batch(xw, mon_act[~done], exponents, gamma)
-        steps, solvable = _solve_batch(jacs, -fw)
+        steps, solvable = _solve_batch(jacs, -f_act[~done])
+        # the damping rounds set the memory peak: keep none of this
+        # evaluation's arrays alive through them
+        del f_act, mon_act, jacs
         alive[work[~solvable]] = False
         work, xw, steps, resw = (
             work[solvable],
@@ -154,15 +186,15 @@ def _newton_all_starts(starts, exponents, gamma, rates):
             steps[solvable],
             resw[solvable],
         )
+        rates_w = rates[work] if per_start else rates
         # cap the step so iterates stay strictly positive, then take the
         # first of t, t/2, ..., t/2^MAX_DAMPING_HALVINGS that strictly
         # lowers the residual.  A start tries the levels lo..hi-1 of its
-        # window, first 0..last+1, then [hi, 2 hi + 1) after a window
+        # window, first 0..last+1, then [hi, 4 hi + 3) after a window
         # without success, so the windows cover the levels in order and
         # its first success is still the one taken.  Each round evaluates
         # every pending window in one batch, grouped by start
-        caps = np.where(steps < 0, -xw / steps, np.inf)
-        t = np.minimum(1.0, 0.99 * caps.min(axis=1))
+        t = np.minimum(1.0, 0.99 * np.where(steps < 0, -xw / steps, np.inf).min(axis=1))
         pending = np.arange(len(work))
         lo = np.zeros(len(work), dtype=np.intp)
         hi = np.minimum(last[work] + 2, len(HALVINGS))
@@ -182,7 +214,8 @@ def _newton_all_starts(starts, exponents, gamma, rates):
             for column in trial.T[1:]:
                 positive &= column > 0
             np.clip(trial, 1e-300, None, out=trial)
-            f_try = _rhs_batch(trial, exponents, gamma, rates[work[owner]])[0]
+            rates_try = rates_w[owner] if per_start else rates
+            f_try = _rhs_batch(trial, exponents, gamma, rates_try, matmul)[0]
             np.abs(f_try, out=f_try)
             res_try = f_try[:, 0].copy()
             for column in f_try.T[1:]:
@@ -196,7 +229,7 @@ def _newton_all_starts(starts, exponents, gamma, rates):
             x[work[won]] = xw[won] + damped
             last[work[won]] = won_level
             pending, lo = pending[~hit], hi[~hit]
-            hi = np.minimum(2 * lo + 1, len(HALVINGS))
+            hi = np.minimum(4 * lo + 3, len(HALVINGS))
             spent = lo == len(HALVINGS)
             alive[work[pending[spent]]] = False
             pending, lo, hi = pending[~spent], lo[~spent], hi[~spent]

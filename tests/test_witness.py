@@ -271,7 +271,7 @@ def window_work(last, took):
         rows, rounds = rows + hi - lo, rounds + 1
         if lo <= took < hi or hi == levels:
             return rows, rounds
-        lo, hi = hi, min(2 * hi + 1, levels)
+        lo, hi = hi, min(4 * hi + 3, levels)
 
 
 def test_damping_windows_match_sequential_halving_on_benchmark_traffic():
@@ -376,6 +376,72 @@ def test_newton_rows_do_not_depend_on_their_batch(seed):
     tiled = np.repeat(np.array(rates), len(starts), axis=0)
     block = witness._newton_all_starts(starts * 2, exponents, gamma, tiled)
     assert block == alone[0] + alone[1]
+
+
+def exponent_rows(rng, s, r):
+    """r reactant rows over s species that meet ``_matmul_is_exact``: no
+    species, one species with any coefficient, or two species whose
+    coefficients are powers of two."""
+    rows = np.zeros((r, s))
+    for row in rows:
+        width = rng.randint(0, min(2, s))
+        for j in rng.sample(range(s), width):
+            row[j] = rng.randint(1, 6) if width == 1 else rng.choice([1, 2, 4, 8])
+    return rows
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_log_monomials_by_matmul_match_einsum_where_exact(seed):
+    rng = random.Random(seed)
+    s, r = rng.randint(1, 4), rng.randint(1, 24)
+    exponents = exponent_rows(rng, s, r)
+    assert witness._matmul_is_exact(exponents)
+    gamma = np.array([[rng.randint(-3, 3) for _ in range(r)] for _ in range(s)], float)
+    rates = np.array([10.0 ** rng.uniform(-3.0, 3.0) for _ in range(r)])
+    # a batch of one row takes numpy's vector path, larger ones the matrix
+    # path; coordinates up to 1e15 away from 1 keep exp from overflowing
+    for n in (1, 2, 600):
+        x = np.array(
+            [[rng.choice([1.0, 10.0 ** rng.uniform(-15, 15)]) for _ in range(s)] for _ in range(n)]
+        )
+        logs = np.log(x)
+        assert (logs @ exponents.T == np.einsum("ij,kj->ik", logs, exponents)).all()
+        by_einsum = witness._rhs_batch(x, exponents, gamma, rates)
+        by_matmul = witness._rhs_batch(x, exponents, gamma, rates, matmul=True)
+        assert [a.tobytes() for a in by_matmul] == [a.tobytes() for a in by_einsum]
+
+
+def test_matmul_rule_accepts_the_benchmark_networks_and_nothing_wider():
+    def exact(net):
+        return witness._matmul_is_exact(np.array(stoich(net).reactant_matrix, dtype=float))
+
+    # the atoms and intro-2 of the witness benchmark, the --kappa network of
+    # the CI text digest, and a one-species coefficient 5 beside a pair 4, 2
+    nets = [fully_open_extension(load_atom(i)) for i in range(1, NUM_ATOMS + 1)]
+    nets += [parse_network(INTRO_2), parse_network("0 <-> A\n2 A -> 3 A")]
+    nets.append(fully_open_extension(parse_network("4 A + 2 B -> C\n5 C -> A")))
+    assert all(exact(net) for net in nets)
+    for text in ("A + B + C -> 2 A", "A + 3 B -> 2 A"):
+        assert not exact(fully_open_extension(parse_network(text)))
+
+
+def test_newton_outside_the_matmul_rule_matches_sequential_halving():
+    # a 2-D BLAS product sums these reactants' rows differently from einsum
+    # in some batches, so the search must keep einsum for them
+    for text in ("A + B + C -> 2 A", "A + 3 B <-> 2 A + B"):
+        net = fully_open_extension(parse_network(text))
+        data = stoich(net)
+        exponents = np.array(data.reactant_matrix, dtype=float)
+        gamma = np.array(data.stoich_matrix, dtype=float)
+        assert not witness._matmul_is_exact(exponents)
+        rng = random.Random(3)
+        starts = witness._default_starts(net.num_species, 0)
+        for _ in range(3):
+            rates = np.array([10.0 ** rng.uniform(-3.0, 3.0) for _ in range(net.num_reactions)])
+            expected = sequential_halving_newton(starts, exponents, gamma, rates)
+            found = witness._newton_all_starts(starts, exponents, gamma, rates)
+            assert [x for x in found if x is not None] == expected
 
 
 def one_sample_rate_search(net, budget, seed):
