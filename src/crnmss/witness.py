@@ -154,8 +154,7 @@ def _newton_all_starts(starts, exponents, gamma, rates):
     or one per start; the converged point of each start, or None."""
     x = np.array(starts, dtype=float)
     n = len(x)
-    rates = np.asarray(rates)
-    per_start = rates.ndim == 2  # else one vector, broadcast in _rhs_batch
+    rates = np.broadcast_to(rates, (n, len(exponents)))
     matmul = _matmul_is_exact(exponents)
     alive = np.ones(n, dtype=bool)
     converged = np.zeros(n, dtype=bool)
@@ -164,9 +163,7 @@ def _newton_all_starts(starts, exponents, gamma, rates):
         active = np.where(alive & ~converged)[0]
         if active.size == 0:
             break
-        f_act, mon_act = _rhs_batch(
-            x[active], exponents, gamma, rates[active] if per_start else rates, matmul
-        )
+        f_act, mon_act = _rhs_batch(x[active], exponents, gamma, rates[active], matmul)
         res_act = np.max(np.abs(f_act), axis=1)
         done = res_act < RESIDUAL_TOL
         converged[active[done]] = True
@@ -186,7 +183,7 @@ def _newton_all_starts(starts, exponents, gamma, rates):
             steps[solvable],
             resw[solvable],
         )
-        rates_w = rates[work] if per_start else rates
+        rates_w = rates[work]
         # cap the step so iterates stay strictly positive, then take the
         # first of t, t/2, ..., t/2^MAX_DAMPING_HALVINGS that strictly
         # lowers the residual.  A start tries the levels lo..hi-1 of its
@@ -214,8 +211,7 @@ def _newton_all_starts(starts, exponents, gamma, rates):
             for column in trial.T[1:]:
                 positive &= column > 0
             np.clip(trial, 1e-300, None, out=trial)
-            rates_try = rates_w[owner] if per_start else rates
-            f_try = _rhs_batch(trial, exponents, gamma, rates_try, matmul)[0]
+            f_try = _rhs_batch(trial, exponents, gamma, rates_w[owner], matmul)[0]
             np.abs(f_try, out=f_try)
             res_try = f_try[:, 0].copy()
             for column in f_try.T[1:]:
