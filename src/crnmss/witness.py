@@ -101,9 +101,10 @@ def _rhs_batch(x, exponents, gamma, rates, matmul=False):
     rounded sum, so each log-monomial is its exact value rounded once,
     whatever the summation order, blocking or fused multiply-add.  A zero
     exponent adds a signed zero, which changes no nonzero sum, and
-    exp(+0) = exp(-0) = 1.  (A damping trial that overflows to inf gets an
-    infinite or NaN residual either way, through its species' outflow in a
-    fully open network, so it is rejected either way.)"""
+    exp(+0) = exp(-0) = 1.  (A damping trial is rejected either way if it
+    overflows to inf, which makes its residual infinite or NaN through its
+    species' outflow in a fully open network, or if it has a coordinate
+    that is not positive, which only a step that is not finite makes.)"""
     if matmul:
         monomials = np.log(x) @ exponents.T
     else:
@@ -146,8 +147,9 @@ def _doubling_blocks(total: int, cap: int):
         lo, size = hi, min(2 * size, cap)
 
 
-# the step caps divide by steps that np.where then discards, and a trial
-# that overflows is never better: neither warning carries news
+# the step caps divide by steps that np.where then discards; a trial that
+# overflows, or has a non-positive coordinate (its step is not finite), is
+# rejected: no warning carries news
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _newton_all_starts(starts, exponents, gamma, rates):
     """Damped Newton from each start, with one rate vector for all starts
@@ -156,11 +158,10 @@ def _newton_all_starts(starts, exponents, gamma, rates):
     n = len(x)
     rates = np.broadcast_to(rates, (n, len(exponents)))
     matmul = _matmul_is_exact(exponents)
-    alive = np.ones(n, dtype=bool)
     converged = np.zeros(n, dtype=bool)
     last = np.zeros(n, dtype=np.intp)  # damping level taken at the last step
+    active = np.arange(n)  # the starts still iterating
     for _ in range(MAX_NEWTON_ITERATIONS):
-        active = np.where(alive & ~converged)[0]
         if active.size == 0:
             break
         f_act, mon_act = _rhs_batch(x[active], exponents, gamma, rates[active], matmul)
@@ -169,21 +170,14 @@ def _newton_all_starts(starts, exponents, gamma, rates):
         converged[active[done]] = True
         work = active[~done]
         if work.size == 0:
-            continue
+            break
         xw, resw = x[work], res_act[~done]
         jacs = _jac_batch(xw, mon_act[~done], exponents, gamma)
         steps, solvable = _solve_batch(jacs, -f_act[~done])
         # the damping rounds set the memory peak: keep none of this
         # evaluation's arrays alive through them
         del f_act, mon_act, jacs
-        alive[work[~solvable]] = False
-        work, xw, steps, resw = (
-            work[solvable],
-            xw[solvable],
-            steps[solvable],
-            resw[solvable],
-        )
-        rates_w = rates[work]
+        work, xw, steps, resw = work[solvable], xw[solvable], steps[solvable], resw[solvable]
         # cap the step so iterates stay strictly positive, then take the
         # first of t, t/2, ..., t/2^MAX_DAMPING_HALVINGS that strictly
         # lowers the residual.  A start tries the levels lo..hi-1 of its
@@ -195,6 +189,7 @@ def _newton_all_starts(starts, exponents, gamma, rates):
         pending = np.arange(len(work))
         lo = np.zeros(len(work), dtype=np.intp)
         hi = np.minimum(last[work] + 2, len(HALVINGS))
+        stepped = np.zeros(len(work), dtype=bool)
         while pending.size:
             counts = hi - lo
             heads = np.cumsum(counts) - counts
@@ -210,8 +205,7 @@ def _newton_all_starts(starts, exponents, gamma, rates):
             positive = trial[:, 0] > 0
             for column in trial.T[1:]:
                 positive &= column > 0
-            np.clip(trial, 1e-300, None, out=trial)
-            f_try = _rhs_batch(trial, exponents, gamma, rates_w[owner], matmul)[0]
+            f_try = _rhs_batch(trial, exponents, gamma, rates[work[owner]], matmul)[0]
             np.abs(f_try, out=f_try)
             res_try = f_try[:, 0].copy()
             for column in f_try.T[1:]:
@@ -219,16 +213,15 @@ def _newton_all_starts(starts, exponents, gamma, rates):
             better = positive & (res_try < resw[owner])
             first = np.minimum.reduceat(np.where(better, row, len(row)), heads)
             hit = first < len(row)
-            # the accepted trials, recomputed unclipped by the same operations
-            won, won_level = pending[hit], level[first[hit]]
-            damped = (t[won] * HALVINGS[won_level])[:, None] * steps[won]
-            x[work[won]] = xw[won] + damped
-            last[work[won]] = won_level
+            won = pending[hit]
+            stepped[won] = True
+            x[work[won]] = trial[first[hit]]
+            last[work[won]] = level[first[hit]]
             pending, lo = pending[~hit], hi[~hit]
             hi = np.minimum(4 * lo + 3, len(HALVINGS))
             spent = lo == len(HALVINGS)
-            alive[work[pending[spent]]] = False
             pending, lo, hi = pending[~spent], lo[~spent], hi[~spent]
+        active = work[stepped]
     return [tuple(p) if ok else None for p, ok in zip(x.tolist(), converged.tolist())]
 
 

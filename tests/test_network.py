@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from crnmss.embedding import embedded_network
 from crnmss.families import FamilySpec, generate
 from crnmss.network import (
+    MAX_COEFFICIENT,
     Complex,
     ParseError,
     Reaction,
@@ -55,6 +56,8 @@ def test_complex_validation():
         Complex(((0, 0),))  # zero coefficient
     with pytest.raises(ValueError):
         Complex(((0, -1),))
+    with pytest.raises(ValueError, match="exceeds supported bound"):
+        Complex(((0, MAX_COEFFICIENT + 1),))
 
 
 def test_reaction_basics():
@@ -91,6 +94,8 @@ def test_network_validation():
     with pytest.raises(ValueError):
         # reaction mentions species index 2, only 2 species declared
         make_network(["A", "B"], [Reaction(a, Complex.of({2: 1}))])
+    with pytest.raises(ValueError, match="species appearing in no reaction: C"):
+        make_network(["A", "B", "C"], [Reaction(a, b)])
     # 0 species, 0 reactions is a valid (empty) network
     empty = make_network([], [])
     assert empty.num_species == 0 and empty.num_reactions == 0

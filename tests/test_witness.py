@@ -42,6 +42,26 @@ def test_two_states_of_the_one_species_family():
     assert w.count_nondegenerate() == 2
 
 
+def test_exact_residual_gate_drops_a_float_root_that_misses_it():
+    # at these rates float Newton converges to both roots, but only the
+    # small one has an exact residual below EXACT_RESIDUAL_TOL (2.7e-10;
+    # the large one's is 1.2e-8), so only it is kept
+    net = parse_network("0 <-> A\n2 A -> 3 A")
+    kappa = [10**8, 3 * 10**8, 10**8]
+    data = stoich(net)
+    found = witness._newton_all_starts(
+        witness._default_starts(1, 0),
+        np.array(data.reactant_matrix, dtype=float),
+        np.array(data.stoich_matrix, dtype=float),
+        np.array(kappa, dtype=float),
+    )
+    (small,), (large,) = witness._dedup(p for p in found if p is not None)
+    assert abs(small - GOLD_SMALL) < 1e-9 and abs(large - GOLD_LARGE) < 1e-9
+    w = witness_search(net, kappa)
+    assert w.states == ((small,),)
+    assert w.nondegenerate == (True,)
+
+
 def test_unique_state_of_a_linear_network():
     net = fully_open_extension(parse_network("A <-> B"))
     w = witness_search(net, [1, 1, 2, 2, 3, 5])
