@@ -1,14 +1,15 @@
 """Exact linear algebra on small dense matrices.
 
-Integer matrices go through fraction-free (Bareiss) elimination so all
-intermediate values stay integral; rational matrices are cleared of
-denominators row by row first.  Matrices are lists of row lists.
+Determinants go through fraction-free (Bareiss) elimination and ranks
+through row-scaled elimination with gcd reduction, so all intermediate
+values stay integral; rational matrices are cleared of denominators row
+by row first.  Matrices are lists of row lists.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 
@@ -55,8 +56,32 @@ def det_int(matrix: Sequence[Sequence[int]]) -> int:
 
 
 def rank_int(matrix: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix, fraction-free elimination."""
-    return _eliminate(matrix)[0]
+    """Rank of an integer matrix by row-scaled elimination.
+
+    At each pivot only the rows with a nonzero entry in the pivot column
+    change, each to a*row - b*pivot_row divided by the gcd of its entries,
+    so a sparse matrix costs little.  Every row is a multiple of the
+    Bareiss row of minors over the same pivots, so the gcd division keeps
+    its entries within the input's Hadamard bound.
+    """
+    rows = [list(row) for row in matrix if any(row)]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        for pivot, pivot_row in enumerate(rows):
+            if pivot_row[col]:
+                break
+        else:
+            continue
+        del rows[pivot]  # the rows above it are 0 in this column
+        a = pivot_row[col]
+        for i in range(pivot, len(rows)):
+            b = rows[i][col]
+            if b:
+                row = [a * x - b * y for x, y in zip(rows[i], pivot_row)]
+                g = gcd(*row)
+                rows[i] = [v // g for v in row] if g > 1 else row
+        rank += 1
+    return rank
 
 
 def rank_frac(matrix: Sequence[Sequence[Fraction | int]]) -> int:
@@ -66,6 +91,6 @@ def rank_frac(matrix: Sequence[Sequence[Fraction | int]]) -> int:
     rows = []
     for row in matrix:
         row = [Fraction(x) for x in row]
-        scale = math.lcm(*(x.denominator for x in row))
+        scale = lcm(*(x.denominator for x in row))
         rows.append([x.numerator * (scale // x.denominator) for x in row])
     return rank_int(rows)

@@ -212,14 +212,12 @@ class ReactionNetwork:
 
     def complexes(self) -> tuple[Complex, ...]:
         """Distinct complexes in order of first appearance (reactant, product)."""
-        out: list[Complex] = []
-        seen: set[Complex] = set()
+        # keyed by the items tuples, whose hash and equality run in C
+        first: dict[tuple[tuple[int, int], ...], Complex] = {}
         for rxn in self.reactions:
-            for cpx in rxn.complexes():
-                if cpx not in seen:
-                    seen.add(cpx)
-                    out.append(cpx)
-        return tuple(out)
+            first.setdefault(rxn.reactant.items, rxn.reactant)
+            first.setdefault(rxn.product.items, rxn.product)
+        return tuple(first.values())
 
     def __eq__(self, other: object) -> bool:
         # Reaction order is irrelevant; species order (and names) matter.

@@ -95,6 +95,26 @@ def test_check_not_multistationary_json(tmp_path, capsys):
     assert report["witness"] is None
 
 
+def test_info_and_check_on_a_1000_reaction_cycle(capsys, monkeypatch):
+    # X0 -> X1 -> ... -> X999 -> X0; no time limit is asserted, but a
+    # structure step that is quadratic or cubic in the size shows up here
+    n = 1000
+    cycle = "\n".join(f"X{i} -> X{(i + 1) % n}" for i in range(n))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(cycle))
+    assert main(["info", "-", "--json"]) == 0
+    structure = json.loads(capsys.readouterr().out)["structure"]
+    assert structure["rank"] == n - 1
+    assert structure["deficiency"] == 0
+    assert structure["num_linkage_classes"] == 1
+    assert structure["weakly_reversible"] is True
+    monkeypatch.setattr(sys, "stdin", io.StringIO(cycle))
+    assert main(["check", "-", "--no-numeric", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["structure"] == structure
+    assert report["verdict"]["status"] == "NOT_MULTISTATIONARY"
+    assert report["verdict"]["certificate"]["kind"] == "deficiency-zero"
+
+
 def test_check_multistationary_json(tmp_path, capsys):
     net = fully_open_extension(generate(FamilySpec("K", 2, 3)))
     path = write_net(tmp_path, render_network(net))

@@ -1,6 +1,7 @@
 """Tests for stoichiometry, linkage structure, and deficiency."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -59,8 +60,8 @@ def _closure(n: int, edges: list[tuple[int, int]]) -> list[list[bool]]:
         reach[u][v] = True
     for w in range(n):
         for u in range(n):
-            for v in range(n):
-                reach[u][v] = reach[u][v] or (reach[u][w] and reach[w][v])
+            if reach[u][w]:
+                reach[u] = [a or b for a, b in zip(reach[u], reach[w])]
     return reach
 
 
@@ -176,28 +177,40 @@ def test_deficiency_per_class_sums_to_at_most_total():
     assert seen_applicable > 20
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_deficiency_per_class_matches_rebuilt_reaction_vectors(seed):
-    net = random_network(random.Random(seed), max_species=4, max_reactions=5, max_coeff=2)
-    rep = deficiency(net)
-    if not rep.applicable:
-        return
-    complexes = net.complexes()
-    s = net.num_species
-    expected = []
-    index = {cpx: i for i, cpx in enumerate(complexes)}
-    edges = [(index[rxn.reactant], index[rxn.product]) for rxn in net.reactions]
-    for lc in strong_components(len(index), edges + [(v, u) for u, v in edges]):
-        members = {complexes[i] for i in lc}
-        vectors = [
-            [rxn.product.coeff(i) - rxn.reactant.coeff(i) for i in range(s)]
-            for rxn in net.reactions
-            if rxn.reactant in members
-        ]
-        gamma = [[v[i] for v in vectors] for i in range(s)] if vectors else []
-        expected.append(len(lc) - 1 - rank_int(gamma))
-    assert rep.per_class == tuple(expected)
+def test_deficiency_per_class_matches_rebuilt_reaction_vectors():
+    shared = []
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def check(seed):
+        # up to 8 species and 12 reactions: several linkage classes, most
+        # of them on species that other classes use too
+        net = random_network(random.Random(seed), max_species=8, max_reactions=12, max_coeff=2)
+        rep = deficiency(net)
+        if not rep.applicable:
+            return
+        complexes = net.complexes()
+        s = net.num_species
+        expected = []
+        index = {cpx: i for i, cpx in enumerate(complexes)}
+        edges = [(index[rxn.reactant], index[rxn.product]) for rxn in net.reactions]
+        seen: set[int] = set()
+        for lc in strong_components(len(index), edges + [(v, u) for u, v in edges]):
+            members = {complexes[i] for i in lc}
+            species = {i for cpx in members for i in cpx.support}
+            shared.append(bool(species & seen))
+            seen |= species
+            vectors = [
+                [rxn.product.coeff(i) - rxn.reactant.coeff(i) for i in range(s)]
+                for rxn in net.reactions
+                if rxn.reactant in members
+            ]
+            gamma = [[v[i] for v in vectors] for i in range(s)] if vectors else []
+            expected.append(len(lc) - 1 - rank_int(gamma))
+        assert rep.per_class == tuple(expected)
+
+    check()
+    assert sum(shared) > 100
 
 
 def test_network_facts_finds_strong_components_twice(monkeypatch):
@@ -265,8 +278,8 @@ def test_network_facts_ranks_a_single_linkage_class_once(monkeypatch, length):
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_strong_components_match_mutual_reachability(seed):
     rng = random.Random(seed)
-    n = rng.randint(0, 8)
-    edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 12))] if n else []
+    n = rng.randint(0, 40)
+    edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))] if n else []
     reach = _closure(n, edges)
     expected = []
     for u in range(n):
@@ -274,3 +287,12 @@ def test_strong_components_match_mutual_reachability(seed):
         if group not in expected:
             expected.append(group)
     assert strong_components(n, edges) == sorted(expected)
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_strong_components_search_paths_deeper_than_the_recursion_limit(closed):
+    n = 5000
+    assert n > sys.getrecursionlimit()
+    edges = [(i, i + 1) for i in range(n - 1)] + ([(n - 1, 0)] if closed else [])
+    expected = [list(range(n))] if closed else [[i] for i in range(n)]
+    assert strong_components(n, edges) == expected
