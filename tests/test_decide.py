@@ -271,6 +271,10 @@ def test_structure_decides_positive_dependence_without_the_lp(monkeypatch, tmp_p
         assert analyze(net).verdict.status != INCONCLUSIVE
     # one nonpositive row, and no nonnegative one
     assert analyze(parse_network("A -> 0")).verdict.status == NO_POSITIVE_STEADY_STATES
+    # no strictly signed row, but the one-signed rows A (-1, 0) and D (0, 1)
+    gain = parse_network("A -> B\nB + C -> C + D")
+    assert stoich(gain).stoich_matrix == ((-1, 0), (1, -1), (0, 0), (0, 1))
+    assert dependence_stage(gain).certificate == {"kind": "positive-dependence-failure"}
     path = tmp_path / "net.txt"
     path.write_text("A -> B\n")
     assert main(["check", str(path), "--json"]) == 0
@@ -306,6 +310,7 @@ def test_determinant_optimization_sequestration():
     # scale invariance: doubling eta still satisfies the exact condition
     assert det_opt_condition(cert.sen, tuple(2 * e for e in cert.eta))
     assert not det_opt_condition(cert.sen, (1, 1, 1))  # species 3 total is negative
+    assert not det_opt_condition(cert.sen, (1, 1, 2))  # totals (2, 3, 0): zero is not positive
     assert not det_opt_condition(cert.sen, (0, 1, 3))
     assert determinant_optimization(k_tilde(2, 4)) is None
     with pytest.raises(ValueError):

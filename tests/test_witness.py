@@ -280,6 +280,87 @@ def benchmark_traffic():
     return runs
 
 
+def relative_distance(a, b):
+    scale = max(1.0, max(abs(v) for v in a), max(abs(v) for v in b))
+    return max(abs(u - v) for u, v in zip(a, b)) / scale
+
+
+def reference_dedup(states):
+    """The greedy dedup as a loop over pairs of builtin floats."""
+    kept = []
+    for state in sorted(states):
+        if all(relative_distance(state, other) >= witness.DEDUP_TOL for other in kept):
+            kept.append(state)
+    return kept
+
+
+def planted_point(rng, p, ratio):
+    """p with one coordinate moved so that its relative distance from p
+    is, of the floats within 32 ulps of a first guess, the one nearest
+    ratio * DEDUP_TOL."""
+    j = rng.randrange(len(p))
+    target = ratio * witness.DEDUP_TOL
+    guess = p[j] + rng.choice([-1.0, 1.0]) * target * max(1.0, max(abs(v) for v in p))
+    candidates = [guess]
+    for direction in (np.inf, -np.inf):
+        c = guess
+        for _ in range(32):
+            c = np.nextafter(c, direction).item()
+            candidates.append(c)
+    moved = [p[:j] + (c,) + p[j + 1 :] for c in candidates]
+    return min(moved, key=lambda q: abs(relative_distance(p, q) - target))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_dedup_matches_the_pairwise_greedy_rule(seed):
+    rng = random.Random(seed)
+    s = rng.randint(1, 4)
+    # coordinates on both sides of 1, so both branches of the scale are used
+    points = [
+        tuple(10.0 ** rng.uniform(-3.0, 3.0) for _ in range(s))
+        for _ in range(rng.randint(0, 5))
+    ]
+    # near-duplicates just below, at and just above the tolerance, some of
+    # them planted on planted points, so that chains of near neighbours
+    # make the greedy order matter
+    for _ in range(rng.randint(0, 10) if points else 0):
+        ratio = rng.choice([0.0, 0.5, 1 - 1e-9, 1.0, 1 + 1e-9, 1.5])
+        points.append(planted_point(rng, rng.choice(points), ratio))
+    rng.shuffle(points)
+    assert witness._dedup(points) == reference_dedup(points)
+    assert witness._dedup(iter(points)) == reference_dedup(points)
+
+
+def test_dedup_matches_the_pairwise_greedy_rule_at_the_tolerance():
+    tol = witness.DEDUP_TOL
+    assert witness._dedup([]) == reference_dedup([]) == []
+    assert witness._dedup([(0.3, 2.0)]) == [(0.3, 2.0)]
+    # relative distance exactly at the tolerance keeps both, one ulp less
+    # drops the second; the scale is 1 in the first pair and 800 in the
+    # second
+    for p, at in [((0.0,), (1e-6,)), ((800.0, 3e-3), (800.0, 3.8e-3))]:
+        below, above = (at[:-1] + (np.nextafter(at[-1], d).item(),) for d in (-np.inf, np.inf))
+        assert relative_distance(p, below) < relative_distance(p, at) == tol
+        assert relative_distance(p, above) > tol
+        for q, kept in ((below, 1), (at, 2), (above, 2)):
+            assert len(witness._dedup([p, q])) == kept
+            assert witness._dedup([q, p]) == reference_dedup([q, p])
+    # p keeps q out, and r, close to q but not to p, stays
+    p = (1.0,)
+    q, r = (1.0 + 0.7 * tol,), (1.0 + 1.4 * tol,)
+    assert witness._dedup([r, q, p]) == reference_dedup([r, q, p]) == [p, r]
+
+
+def test_dedup_matches_the_pairwise_greedy_rule_on_benchmark_traffic():
+    calls = 0
+    for _, _, _, reference in benchmark_traffic():
+        for points, _ in reference:
+            assert witness._dedup(points) == reference_dedup(points)
+            calls += 1
+    assert calls == (NUM_ATOMS + 1) * TRAFFIC_SAMPLES
+
+
 def window_work(last, took):
     """Trial rows and rounds that the damping windows spend on one start
     whose previous step took level last and whose first success is at
