@@ -411,34 +411,41 @@ def find_embedding(pattern: ReactionNetwork, host: ReactionNetwork) -> Embedding
     lexicographically least assignment (pattern species in index order,
     host candidates ascending), with each pattern reaction realized by the
     smallest-index host reaction.
+
+    Each pattern reaction carries an integer bitmask of the host reactions
+    that still match it; assigning pattern species q to host species h
+    ANDs in the mask that ``host.column_masks[h]`` holds for that pattern
+    reaction's coefficients on q, and an empty mask prunes the branch.
     """
     ps, hs = pattern.num_species, host.num_species
     if ps > hs or pattern.num_reactions > host.num_reactions:
         return None
 
-    host_col, pattern_col = host.columns, pattern.columns
+    host_masks, pattern_col = host.column_masks, pattern.columns
 
-    def extend(image: tuple[int, ...], agree: list[list[int]]) -> EmbeddingWitness | None:
-        # agree[p]: the host reactions, ascending, that match pattern
-        # reaction p on every pattern species assigned so far
+    def extend(image: tuple[int, ...], agree: list[int]) -> EmbeddingWitness | None:
+        # bit j of agree[p]: host reaction j matches pattern reaction p on
+        # every pattern species assigned so far
         q = len(image)
         if q == ps:
-            return EmbeddingWitness(image, tuple(js[0] for js in agree))
+            # the lowest set bit is the smallest-index host reaction
+            return EmbeddingWitness(image, tuple((m & -m).bit_length() - 1 for m in agree))
         for h in range(hs):
             if h in image:
                 continue
+            by_key = host_masks[h]
             narrowed = []
-            for js, want in zip(agree, pattern_col[q]):
-                kept = [j for j in js if host_col[h][j] == want]
-                if not kept:
+            for m, want in zip(agree, pattern_col[q]):
+                m &= by_key.get(want, 0)
+                if not m:
                     break
-                narrowed.append(kept)
+                narrowed.append(m)
             else:
                 found = extend(image + (h,), narrowed)
                 if found is not None:
                     return found
         return None
 
-    witness = extend((), [list(range(host.num_reactions))] * pattern.num_reactions)
+    witness = extend((), [(1 << host.num_reactions) - 1] * pattern.num_reactions)
     assert witness is None or verify_embedding(pattern, host, witness)
     return witness

@@ -210,6 +210,19 @@ class ReactionNetwork:
             for i, row in enumerate(data.stoich_matrix)
         )
 
+    @functools.cached_property
+    def column_masks(self) -> tuple[dict[tuple[int, int], int], ...]:
+        """Per species, each (reactant, product) pair of its ``columns``
+        mapped to the bitmask of the reactions that have it: bit j is set
+        under (a, b) exactly when ``columns[i][j] == (a, b)``.  Read-only."""
+        masks = []
+        for col in self.columns:
+            by_key: dict[tuple[int, int], int] = {}
+            for j, key in enumerate(col):
+                by_key[key] = by_key.get(key, 0) | 1 << j
+            masks.append(by_key)
+        return tuple(masks)
+
     def complexes(self) -> tuple[Complex, ...]:
         """Distinct complexes in order of first appearance (reactant, product)."""
         # keyed by the items tuples, whose hash and equality run in C

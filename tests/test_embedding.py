@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crnmss import decide
 from crnmss.embedding import (
     EmbeddingWitness,
     embedded_network,
@@ -26,7 +27,7 @@ from crnmss.embedding import (
     verify_embedding,
 )
 from crnmss.network import Complex, Reaction, make_network, parse_network, render_network
-from helpers import random_network
+from helpers import random_cfstr, random_network
 
 
 def rxn(text):
@@ -301,3 +302,92 @@ def test_find_embedding_matches_its_definition(seed):
         unrelated = random_network(rng, max_species=3, max_reactions=3, max_coeff=2)
         for pattern in (embedded, unrelated):
             assert find_embedding(pattern, host) == reference_embedding(pattern, host)
+
+
+def reference_find_embedding(pattern, host):
+    """The list-narrowing search that the bitmask search replaced: the
+    same order, with the host reactions that still match each pattern
+    reaction kept as an ascending list."""
+    ps, hs = pattern.num_species, host.num_species
+    if ps > hs or pattern.num_reactions > host.num_reactions:
+        return None
+
+    host_col, pattern_col = host.columns, pattern.columns
+
+    def extend(image, agree):
+        q = len(image)
+        if q == ps:
+            return EmbeddingWitness(image, tuple(js[0] for js in agree))
+        for h in range(hs):
+            if h in image:
+                continue
+            narrowed = []
+            for js, want in zip(agree, pattern_col[q]):
+                kept = [j for j in js if host_col[h][j] == want]
+                if not kept:
+                    break
+                narrowed.append(kept)
+            else:
+                found = extend(image + (h,), narrowed)
+                if found is not None:
+                    return found
+        return None
+
+    return extend((), [list(range(host.num_reactions))] * pattern.num_reactions)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_find_embedding_matches_the_list_narrowing_search(seed):
+    rng = random.Random(seed)
+    base = random_network(rng, max_species=6, max_reactions=6, max_coeff=3)
+    cfstr = random_cfstr(rng, max_species=6, max_nonflow=6, max_coeff=3)
+    for host in (base, fully_open_extension(base), cfstr, fully_open_extension(cfstr)):
+        patterns = [atom for _, atom in decide._atom_database(host)]
+        patterns += [random_network(rng, max_species=3, max_reactions=3) for _ in range(3)]
+        patterns.append(
+            embedded_network(
+                host,
+                reactions=[i for i in range(host.num_reactions) if rng.random() < 0.5],
+                species=[i for i in range(host.num_species) if rng.random() < 0.4],
+            )
+        )
+        for pattern in patterns:
+            assert find_embedding(pattern, host) == reference_find_embedding(pattern, host)
+
+
+def test_find_embedding_realizes_each_pattern_reaction_by_the_smallest_index():
+    pattern = parse_network("A -> 2 A")
+    # species Y, X, Z; reactions 1 and 2 both restrict to X -> 2 X on {X}
+    host = parse_network("Y -> X\nX + Y -> 2 X\nX + Z -> 2 X")
+    expected = EmbeddingWitness((1,), (1,))
+    assert find_embedding(pattern, host) == reference_find_embedding(pattern, host) == expected
+
+
+def test_find_embedding_of_a_pattern_larger_than_its_host():
+    host = parse_network("X -> 2 X\nX -> 0")
+    for text in ("A -> 2 A\nA -> 0\n0 -> A", "A + B -> 2 A\nB -> 0"):
+        pattern = parse_network(text)
+        assert find_embedding(pattern, host) is reference_find_embedding(pattern, host) is None
+
+
+def test_find_embedding_on_a_host_wider_than_one_machine_word():
+    # reaction j is (j + 1) X + Y -> (j + 2) X + Y for j < 70, then two
+    # reactions past bit 64 that both restrict to 80 X -> 81 X on {X}
+    lines = [f"{j + 1} X + Y -> {j + 2} X + Y" for j in range(70)]
+    lines += ["Y -> X", "80 X + Y -> 81 X", "80 X + Z -> 81 X", "Z -> Y"]
+    host = parse_network("\n".join(lines))
+    assert host.num_reactions == 74
+    cases = {
+        "68 A -> 69 A": ((0,), (67,)),
+        "80 A -> 81 A": ((0,), (71,)),
+        "3 A + B -> 4 A + B\n69 A + B -> 70 A + B": ((0, 1), (2, 68)),
+        "70 A + B -> 71 A + B\nB -> A": ((0, 1), (69, 70)),
+        "80 A + B -> 81 A": ((0, 1), (71,)),
+        "71 A -> 72 A": None,
+    }
+    for text, expected in cases.items():
+        pattern = parse_network(text)
+        found = find_embedding(pattern, host)
+        assert found == reference_find_embedding(pattern, host)
+        assert (found and (found.species_map, found.reaction_map)) == expected

@@ -235,6 +235,17 @@ def test_columns_match_their_definition(seed):
     assert [list(col) for col in net.columns] == reference_columns(net)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_column_masks_match_their_definition(seed):
+    net = random_network(random.Random(seed), max_species=5, max_reactions=5, max_coeff=3)
+    assert len(net.column_masks) == net.num_species
+    for col, by_key in zip(reference_columns(net), net.column_masks):
+        assert set(by_key) == set(col)
+        for key, mask in by_key.items():
+            assert mask == sum(1 << j for j, pair in enumerate(col) if pair == key)
+
+
 def fraction_rank(rows):
     """Rank by Gaussian elimination over the rationals."""
     m = [[Fraction(v) for v in row] for row in rows]
@@ -277,6 +288,19 @@ def test_reading_columns_leaves_equality_and_hash_alone(seed):
     before = hash(net)
     net.columns
     stoich(net)
+    assert hash(net) == before == hash(twin)
+    assert net == twin and twin == net
+    assert {twin: "twin"}[net] == "twin"
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_reading_column_masks_leaves_equality_and_hash_alone(seed):
+    net = random_network(random.Random(seed), max_species=5, max_reactions=5, max_coeff=3)
+    twin = make_network(net.species_names(), reversed(net.reactions))
+    before = hash(net)
+    net.column_masks
+    assert "column_masks" in net.__dict__ and "column_masks" not in twin.__dict__
     assert hash(net) == before == hash(twin)
     assert net == twin and twin == net
     assert {twin: "twin"}[net] == "twin"
