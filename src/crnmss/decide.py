@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from . import embedding, families
+from . import families
 from .embedding import (
     EmbeddingWitness,
     LimitExceeded,
@@ -35,8 +35,6 @@ MULTISTATIONARY = "MULTISTATIONARY"
 NOT_MULTISTATIONARY = "NOT_MULTISTATIONARY"
 NO_POSITIVE_STEADY_STATES = "NO_POSITIVE_STEADY_STATES"
 INCONCLUSIVE = "INCONCLUSIVE"
-
-SignVector = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -180,90 +178,9 @@ def injectivity_minors(net: ReactionNetwork) -> InjectivityReport:
     return InjectivityReport("injective", sign=sign)
 
 
-def _sign_patterns(length: int) -> Iterator[SignVector]:
-    """Nonzero sign vectors with first nonzero entry +1 (one per +- pair)."""
-    for pattern in itertools.product((1, -1, 0), repeat=length):
-        for v in pattern:
-            if v == 1:
-                yield pattern
-                break
-            if v == -1:
-                break
-
-
 def _unit_rows(n: int) -> list[list[int]]:
     """The unit rows e_0, ..., e_{n-1}."""
     return [[int(i == j) for i in range(n)] for j in range(n)]
-
-
-def _sign_constraints(pattern: SignVector, rows: Sequence[Sequence[int]] | None = None):
-    """(zero_rows, one_rows) forcing sign(rows_i . x) = pattern_i on a free x,
-    scale-normalized to >= 1.  Without ``rows`` the rows are the unit rows.
-
-    The free x is written u - v over doubled columns, so each row c becomes
-    (c, -c), and a negative sign is the negated row >= 1.
-    """
-    if rows is None:
-        rows = _unit_rows(len(pattern))
-    zero_rows, one_rows = [], []
-    for row, want in zip(rows, pattern):
-        split = [*row, *(-c for c in row)]
-        if want == 0:
-            zero_rows.append(split)
-        else:
-            one_rows.append([want * c for c in split])
-    return zero_rows, one_rows
-
-
-def injectivity_signvectors(net: ReactionNetwork) -> InjectivityReport:
-    """Brute-force sign-vector form of the injectivity condition.
-
-    The network fails injectivity exactly when some nonzero x whose sign
-    pattern occurs in the stoichiometric subspace has sign(Mx) realizable
-    in ker(Gamma).  The shared sign vector may be zero (x is what must be
-    nonzero); that case is the counterpart of the all-minors-zero outcome
-    of the determinant form.  Every sign pattern membership is decided by
-    exact LP.  Exponential in species and reaction counts: when the
-    3^(s + r) pairs of sign patterns exceed ``embedding.WORK_LIMIT`` the
-    route raises ``LimitExceeded`` before any LP.
-    """
-    s, r = net.num_species, net.num_reactions
-    if 3 ** (s + r) > embedding.WORK_LIMIT:
-        raise LimitExceeded(
-            f"{3 ** (s + r)} sign pattern pairs exceed the work bound {embedding.WORK_LIMIT}"
-        )
-    data = stoich(net)
-    gamma_rows, reactant_rows = data.stoich_matrix, data.reactant_matrix  # s x r, r x s
-    gamma_zero, _ = _sign_constraints((0,) * s, rows=gamma_rows)  # Gamma x = 0
-
-    def kernel_realizable(tau: SignVector) -> bool:
-        zero_rows, one_rows = _sign_constraints(tau)
-        return solve_feasibility(2 * r, gamma_zero + zero_rows, one_rows) is not None
-
-    def subspace_realizable(sigma_pat: SignVector) -> bool:
-        return solve_feasibility(2 * r, *_sign_constraints(sigma_pat, rows=gamma_rows)) is not None
-
-    # sign patterns of kernel vectors; negating the witness x mirrors both
-    # patterns at once, so half the tau candidates suffice provided the
-    # sigma candidates below run over both halves
-    kernel_taus: list[SignVector] = [(0,) * r]
-    if data.rank < r:
-        kernel_taus.extend(tau for tau in _sign_patterns(r) if kernel_realizable(tau))
-
-    # nonzero sign patterns of the stoichiometric subspace, both halves
-    subspace_signs: list[SignVector] = []
-    for pat in _sign_patterns(s):
-        if data.rank == s or subspace_realizable(pat):
-            subspace_signs.append(pat)
-            subspace_signs.append(tuple(-v for v in pat))
-
-    for tau in kernel_taus:
-        for sigma_pat in subspace_signs:
-            zero_x, one_x = _sign_constraints(sigma_pat)
-            zero_mx, one_mx = _sign_constraints(tau, rows=reactant_rows)
-            if solve_feasibility(2 * s, zero_x + zero_mx, one_x + one_mx) is not None:
-                return InjectivityReport("not-injective")
-    return InjectivityReport("injective")
 
 
 def cfstr_injectivity(net: ReactionNetwork) -> InjectivityReport:

@@ -184,8 +184,7 @@ def orientation(sen: SquareEmbeddedNetwork) -> int:
 
 # Work bound of one square embedded network scan: species subsets plus
 # reaction combinations formed.  The largest benchmark scan, fully open
-# K(2,10), needs 1,024.  The sign-vector injectivity route bounds its
-# pairs of sign patterns by the same constant.
+# K(2,10), needs 1,024.
 WORK_LIMIT = 1_000_000
 
 

@@ -8,9 +8,6 @@ Families (all parameters positive integers):
 * K(m, n):    X1 -> m Xn, Xi + Xi+1 -> 0 for i < n   (n >= 2)
 * atom-2rxn(k), k in 1..11: the fully open two-reaction atoms, shipped as
   data files.
-
-``expected_verdict`` states what is known about the fully open extension
-of each member (G, Gbar, H and the atoms are already fully open).
 """
 
 from __future__ import annotations
@@ -63,6 +60,7 @@ def load_atoms() -> list[tuple[int, ReactionNetwork]]:
     return [(i, load_atom(i)) for i in range(1, NUM_ATOMS + 1)]
 
 
+@functools.cache  # specs are frozen and networks immutable, as for load_atom
 def generate(spec: FamilySpec) -> ReactionNetwork:
     family, m, n = spec.family, spec.m, spec.n
     if family == "atom-2rxn":
@@ -79,55 +77,3 @@ def generate(spec: FamilySpec) -> ReactionNetwork:
     for i in range(n - 1):
         reactions.append(Reaction(Complex.of({i: 1, i + 1: 1}), zero))
     return make_network(names, reactions)
-
-
-@dataclass(frozen=True)
-class ExpectedVerdict:
-    multistationary: bool | None  # None = not settled
-    multistable: bool | None
-    source: str
-    note: str | None = None
-
-
-def expected_verdict(spec: FamilySpec) -> ExpectedVerdict:
-    """Known status of the fully open extension of the family member."""
-    family, m, n = spec.family, spec.m, spec.n
-    if family == "G":
-        mss = n > m > 1
-        return ExpectedVerdict(
-            multistationary=mss,
-            multistable=False,
-            source="one-reaction classification; at most one stable state",
-        )
-    if family == "Gbar":
-        both = m > 1 and n > 1
-        return ExpectedVerdict(
-            multistationary=both,
-            multistable=both,
-            source="reversible one-reaction classification and cubic-type steady state polynomial",
-        )
-    if family == "H":
-        mss = m > 1 and n > 1
-        return ExpectedVerdict(
-            multistationary=mss,
-            multistable=None,
-            source="one-reaction classification",
-        )
-    if family == "K":
-        mss = m > 1 and n % 2 == 1
-        note = (
-            "nondegeneracy of the two steady states is conjectural"
-            if mss
-            else None
-        )
-        return ExpectedVerdict(
-            multistationary=mss,
-            multistable=None,
-            source="sequestration network orientation analysis",
-            note=note,
-        )
-    return ExpectedVerdict(
-        multistationary=True,
-        multistable=None,
-        source="two-reaction atom classification",
-    )

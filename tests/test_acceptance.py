@@ -22,7 +22,6 @@ from crnmss.decide import (
     det_opt_condition,
     determinant_optimization,
     injectivity_minors,
-    injectivity_signvectors,
 )
 from crnmss.embedding import (
     embedded_network,
@@ -35,16 +34,21 @@ from crnmss.embedding import (
 from crnmss.families import FamilySpec, generate, load_atom
 from crnmss.network import parse_network
 from crnmss.structure import deficiency, stoich
-from crnmss.unipoly import (
+from crnmss.witness import rate_search, witness_search
+
+from helpers import (
+    injectivity_signvectors,
+    random_cfstr,
+    random_network,
+    random_open_monomolecular,
+)
+from unipoly import (
     family_polynomial,
     positive_root_count,
     stable_positive_root_count,
     multistable_rates,
     two_root_rates,
 )
-from crnmss.witness import rate_search, witness_search
-
-from helpers import random_cfstr, random_network, random_open_monomolecular
 
 REGISTRY: list[dict] = []
 

@@ -28,7 +28,6 @@ from crnmss.decide import (
     det_opt_condition,
     determinant_optimization,
     injectivity_minors,
-    injectivity_signvectors,
     network_facts,
     positive_dependence,
 )
@@ -44,7 +43,7 @@ from crnmss.embedding import (
 from crnmss.families import FamilySpec, generate, load_atom, load_atoms
 from crnmss.network import Complex, Reaction, ReactionNetwork, parse_network, render_network
 from crnmss.structure import deficiency, stoich
-from helpers import random_cfstr, random_network
+from helpers import injectivity_signvectors, random_cfstr, random_network
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 property_settings = settings(max_examples=150, deadline=None, derandomize=True, database=None)

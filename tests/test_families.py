@@ -7,12 +7,12 @@ from crnmss.embedding import fully_open_extension, is_fully_open, is_relevant
 from crnmss.families import (
     NUM_ATOMS,
     FamilySpec,
-    expected_verdict,
     generate,
     load_atom,
     load_atoms,
 )
 from crnmss.network import render_network
+from helpers import expected_verdict
 
 
 def test_family_spec_validation():
@@ -53,6 +53,12 @@ def test_generate_k():
     assert render_network(k) == "X1 -> 2 X3\nX1 + X2 -> 0\nX2 + X3 -> 0"
     k2 = generate(FamilySpec("K", 1, 2))
     assert render_network(k2) == "X1 -> X2\nX1 + X2 -> 0"
+
+
+def test_generate_builds_each_member_once():
+    for family, m, n in (("G", 2, 3), ("H", 2, 2), ("K", 2, 3)):
+        net = generate(FamilySpec(family, m, n))
+        assert generate(FamilySpec(family, m, n)) is net
 
 
 def test_atoms_load_and_are_fully_open_two_reaction():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crnmss.unipoly import (
+from unipoly import (
     family_polynomial,
     multistable_rates,
     positive_root_count,

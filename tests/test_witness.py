@@ -15,9 +15,9 @@ from crnmss.embedding import fully_open_extension
 from crnmss.families import NUM_ATOMS, FamilySpec, generate, load_atom
 from crnmss.network import parse_network
 from crnmss.structure import stoich
-from crnmss.unipoly import family_polynomial, positive_root_count
 from crnmss.witness import rate_search, witness_search
 from helpers import random_network
+from unipoly import family_polynomial, positive_root_count
 
 GOLD_SMALL = 0.3819660112501051  # (3 - sqrt 5) / 2
 GOLD_LARGE = 2.618033988749895  # (3 + sqrt 5) / 2

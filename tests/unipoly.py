@@ -4,6 +4,10 @@ A polynomial is a coefficient sequence, ascending by degree, whose entries
 are anything ``Fraction()`` accepts.  Sturm chains run on primitive integer
 tuples: every rescaling on the way is by a positive factor, so sign
 variation counts are unchanged, and coefficient growth stays in check.
+
+The exact reference for the one-species families G and Gbar: acceptance
+criteria 2 and 5 and the witness tests count the positive roots of their
+steady-state polynomials here.
 """
 
 from __future__ import annotations
