@@ -1,11 +1,13 @@
 """Mutant table: one-line changes to the decision rules, the exact
-primitives and the searches, each with a tier-1 test that must fail on it.
+primitives, the searches and the command outputs, each with a tier-1 test
+that must fail on it.
 
     python tests/mutants.py [MUTANT_NAME ...]
 
 Run it from the root of a source checkout.  For each row (all rows, or
-those named) the script copies ``src/``, ``tests/`` and ``pyproject.toml``
-to a temporary directory, asserts that the row's old text occurs exactly
+those named) the script copies ``src/``, ``tests/``, ``perfbench/`` (read
+by the pinned-output tests, never mutated) and ``pyproject.toml`` to a
+temporary directory, asserts that the row's old text occurs exactly
 once in its file, applies the mutant there and runs the row's test with
 pytest on the copy.  A mutant is killed when pytest reports a failed
 test (exit code 1).  It survives when the test passes; any other exit
@@ -204,6 +206,28 @@ MUTANTS = [
         "            hi = np.minimum(2 * lo + 1, len(HALVINGS))",
         "tests/test_witness.py::test_damping_windows_evaluate_the_rows_their_rule_names",
     ),
+    # command outputs that only the pinned outputs read
+    Mutant(
+        "check --json indents by one space",
+        "src/crnmss/cli.py",
+        "print(json.dumps(report, indent=2))",
+        "print(json.dumps(report, indent=1))",
+        "tests/test_pinned_outputs.py::test_pinned_output[check_corpus-seed0]",
+    ),
+    Mutant(
+        "the minors injectivity note reworded",
+        DECIDE,
+        '"injectivity fails: minor products of both signs exist"',
+        '"injectivity fails: minor products of opposite signs exist"',
+        "tests/test_pinned_outputs.py::test_pinned_output[check_corpus-seed0]",
+    ),
+    Mutant(
+        "witness kappa strings rounded to denominators up to 10^9",
+        WITNESS,
+        '"kappa": [str(k) for k in self.kappa],',
+        '"kappa": [str(k.limit_denominator(10**9)) for k in self.kappa],',
+        "tests/test_pinned_outputs.py::test_pinned_output[witness_fields-seed0]",
+    ),
 ]
 
 
@@ -212,7 +236,7 @@ def run(mutant: Mutant) -> tuple[str, float]:
     seconds its test took."""
     with tempfile.TemporaryDirectory(prefix="crnmss-mutant-") as tmp:
         work = Path(tmp)
-        for name in ("src", "tests"):
+        for name in ("src", "tests", "perfbench"):
             shutil.copytree(ROOT / name, work / name, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy2(ROOT / "pyproject.toml", work)
         target = work / mutant.path

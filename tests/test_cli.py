@@ -306,6 +306,7 @@ def test_witness_flag_exclusivity(tmp_path, capsys):
     assert main(["witness", path]) == 2
     assert "exactly one of" in capsys.readouterr().err
     assert main(["witness", path, "--kappa", "1", "1", "1", "--search"]) == 2
+    assert capsys.readouterr().err == "error: pass exactly one of --kappa or --search\n"
 
 
 def test_main_reuses_one_parser_without_carry_over(tmp_path, capsys, monkeypatch):
