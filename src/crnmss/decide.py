@@ -9,6 +9,7 @@ cheap structural preclusions first and numeric search last.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
@@ -23,10 +24,10 @@ from .embedding import (
     irrelevant_alone,
     is_cfstr,
     is_fully_open,
-    non_flow_subnetwork,
     orientation,
     sen_is_relevant,
 )
+from .linalg import rank_int
 from .lp import solve_feasibility
 from .network import ReactionNetwork, render_network, render_reaction
 from .structure import DeficiencyReport, deficiency, stoich
@@ -204,7 +205,7 @@ def cfstr_injectivity(net: ReactionNetwork) -> InjectivityReport:
     """
     if not is_cfstr(net):
         raise ValueError("cfstr_injectivity requires every species to have an outflow")
-    g0 = non_flow_subnetwork(net)
+    g0 = net.non_flow
 
     def admit(res) -> bool:
         return irrelevant_alone(res) is None
@@ -302,7 +303,10 @@ def det_opt_condition(
     sen: SquareEmbeddedNetwork, eta: Sequence[Fraction | int]
 ) -> bool:
     """Exact check: orientation < 0, eta > 0, and the eta-combination of
-    reactant-minus-product vectors is componentwise positive."""
+    reactant-minus-product vectors is componentwise positive.
+
+    The totals are checked in integers, on eta scaled by the lcm of its
+    denominators; a positive scale keeps the sign of every total."""
     vals = [Fraction(e) for e in eta]
     if len(vals) != len(sen.reactions):
         return False
@@ -310,10 +314,12 @@ def det_opt_condition(
         return False
     if orientation(sen) >= 0:
         return False
+    scale = math.lcm(*(e.denominator for e in vals))
+    weights = [e.numerator * (scale // e.denominator) for e in vals]
     for i in sen.species_indices:
-        total = Fraction(0)
-        for e, rxn in zip(vals, sen.reactions):
-            total += e * (rxn.reactant.coeff(i) - rxn.product.coeff(i))
+        total = 0
+        for w, rxn in zip(weights, sen.reactions):
+            total += w * (rxn.reactant.coeff(i) - rxn.product.coeff(i))
         if total <= 0:
             return False
     return True
@@ -326,15 +332,22 @@ def determinant_optimization(net: ReactionNetwork) -> DetOptCertificate | None:
     extension multistationary.
 
     The SENs come from one ``enumerate_sens`` scan, so past its work bound
-    the search raises ``LimitExceeded``.
+    the search raises ``LimitExceeded``.  A full-size SEN's orientation is
+    det Y[S,R] * det(-Gamma)[S,R] over all s species S of g0, so when the
+    reactant matrix Y or Gamma of g0 has rank below s every SEN has
+    orientation 0 and the search returns None without the scan.  With
+    exactly s reactions the one SEN's orientation is that test itself.
     """
     if not is_cfstr(net):
         raise ValueError("determinant optimization requires a CFSTR")
     s = net.num_species
-    g0 = non_flow_subnetwork(net)
+    g0 = net.non_flow
     if g0.num_species != s or g0.num_reactions < s:
         return None
-    gamma = g0.stoich_data.stoich_matrix
+    data = g0.stoich_data
+    if g0.num_reactions > s and (data.rank < s or rank_int(data.reactant_matrix) < s):
+        return None
+    gamma = data.stoich_matrix
 
     for sen in enumerate_sens(g0, (s,)):
         value = orientation(sen)

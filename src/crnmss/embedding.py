@@ -21,12 +21,12 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .linalg import det_int
-from .network import Complex, Reaction, ReactionNetwork, make_network
+from .network import Complex, Reaction, ReactionNetwork
 
 
 def restrict_reaction(rxn: Reaction, kept: Iterable[int]) -> Reaction | None:
     """Restriction to kept species, or None when it collapses to triviality."""
-    keep = set(kept)
+    keep = set(kept)  # one set for both complexes
     reactant = rxn.reactant.restrict(keep)
     product = rxn.product.restrict(keep)
     if reactant == product:
@@ -39,17 +39,6 @@ def restrict_reactions(reactions: Sequence[Reaction], kept: Iterable[int]) -> li
     keep = frozenset(kept)
     restricted = dict.fromkeys(restrict_reaction(rxn, keep) for rxn in reactions)
     return [res for res in restricted if res is not None]
-
-
-def _on_used_species(net: ReactionNetwork, reactions: Sequence[Reaction]) -> ReactionNetwork:
-    """The network of ``reactions`` (in ``net``'s species indexing) over
-    the species they use, renumbered densely; names are kept."""
-    used = sorted({idx for rxn in reactions for cpx in rxn.complexes() for idx, _ in cpx})
-    renumber = {old: new for new, old in enumerate(used)}
-    renamed = tuple(
-        Reaction(r.reactant.rename(renumber), r.product.rename(renumber)) for r in reactions
-    )
-    return make_network([net.species[i] for i in used], renamed)
 
 
 def embedded_network(
@@ -69,12 +58,14 @@ def embedded_network(
             raise ValueError(f"species index {sidx} out of range")
     kept_reactions = [rxn for i, rxn in enumerate(net.reactions) if i not in reactions]
     kept_species = [i for i in range(net.num_species) if i not in species]
-    return _on_used_species(net, restrict_reactions(kept_reactions, kept_species))
+    return net.subnetwork(restrict_reactions(kept_reactions, kept_species))
 
 
 def non_flow_subnetwork(net: ReactionNetwork) -> ReactionNetwork:
-    """Remove inflow and outflow reactions (and any species they orphan)."""
-    return _on_used_species(net, [r for r in net.reactions if not r.is_flow])
+    """Remove inflow and outflow reactions (and any species they orphan).
+
+    The result is ``net.non_flow``, built once per network."""
+    return net.non_flow
 
 
 def fully_open_extension(net: ReactionNetwork) -> ReactionNetwork:
@@ -153,7 +144,7 @@ def remove_intermediates(net: ReactionNetwork, species: Iterable[int]) -> Reacti
                     seen.add(new)
                     keep.append(new)
         reactions = keep
-    return _on_used_species(net, reactions)
+    return net.subnetwork(reactions)
 
 
 @dataclass(frozen=True)
@@ -268,9 +259,11 @@ def _sens_of_size(
 ) -> Iterator[SquareEmbeddedNetwork]:
     """The size-k part of ``enumerate_sens``, with its own work count."""
     refusal = f"square embedded network scan exceeds the work bound {WORK_LIMIT}"
-    if math.comb(net.num_species, k) > WORK_LIMIT:
+    # every species subset is listed before any stream forms a combination,
+    # so the subsets' units are counted at once, within the bound
+    work = math.comb(net.num_species, k)
+    if work > WORK_LIMIT:
         raise LimitExceeded(refusal)
-    work = 0
 
     def spend() -> None:
         nonlocal work
@@ -287,7 +280,6 @@ def _sens_of_size(
 
     streams = []
     for sp_subset in itertools.combinations(range(net.num_species), k):
-        spend()
         candidates = admitted(sp_subset)
         if len(candidates) >= k:
             streams.append(stream(sp_subset, candidates))

@@ -16,6 +16,10 @@ appearance.  ``render_network`` emits a canonical form that parses back
 to the same reactions by species name, and to an equal network when
 species are numbered in order of first appearance, as ``parse_network``
 numbers them.
+
+``Complex`` and ``Reaction`` are values: two of them are equal iff they
+have the same class and the same items (a reaction's items are those of
+its reactant and its product), and they hash on those items tuples.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Container, Iterable, Iterator, Mapping
 
 from .linalg import rank_int
 
@@ -50,11 +54,21 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Complex:
     """Sparse complex: sorted tuple of (species index, positive coefficient)."""
 
     items: tuple[tuple[int, int], ...]
+
+    # written out so that a set or dict operation runs one Python frame;
+    # the dataclass's own methods would compare and hash a 1-tuple
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.items == other.items
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.items)
 
     def __post_init__(self) -> None:
         prev = -1
@@ -86,10 +100,10 @@ class Complex:
                 return c
         return 0
 
-    def restrict(self, kept: Iterable[int]) -> "Complex":
-        """Zero out every species not in ``kept``."""
-        keep = set(kept)
-        return Complex(tuple(p for p in self.items if p[0] in keep))
+    def restrict(self, kept: Container[int]) -> "Complex":
+        """Zero out every species not in ``kept``, which is read as it is
+        (one membership test per item), so pass a set when it is large."""
+        return Complex(tuple(p for p in self.items if p[0] in kept))
 
     def rename(self, mapping: Mapping[int, int]) -> "Complex":
         return Complex.of({mapping[i]: c for i, c in self.items})
@@ -102,10 +116,22 @@ class Complex:
         return iter(self.items)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Reaction:
     reactant: Complex
     product: Complex
+
+    # one frame per comparison or hash, on the complexes' items tuples
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (
+                self.reactant.items == other.reactant.items
+                and self.product.items == other.product.items
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.reactant.items, self.product.items))
 
     def __post_init__(self) -> None:
         if self.reactant == self.product:
@@ -222,6 +248,25 @@ class ReactionNetwork:
                 by_key[key] = by_key.get(key, 0) | 1 << j
             masks.append(by_key)
         return tuple(masks)
+
+    def subnetwork(self, reactions: Iterable[Reaction]) -> "ReactionNetwork":
+        """The network of ``reactions``, given in this network's species
+        indexing, over the species they use, renumbered densely; names are
+        kept."""
+        reactions = tuple(reactions)
+        used = sorted({idx for rxn in reactions for cpx in rxn.complexes() for idx, _ in cpx})
+        renumber = {old: new for new, old in enumerate(used)}
+        renamed = tuple(
+            Reaction(r.reactant.rename(renumber), r.product.rename(renumber)) for r in reactions
+        )
+        return make_network([self.species[i] for i in used], renamed)
+
+    @functools.cached_property
+    def non_flow(self) -> "ReactionNetwork":
+        """The non-flow subnetwork g0: the inflows and outflows removed,
+        with any species they orphan.  Built by its first reader, once per
+        network; equality and hashing ignore it."""
+        return self.subnetwork(r for r in self.reactions if not r.is_flow)
 
     def complexes(self) -> tuple[Complex, ...]:
         """Distinct complexes in order of first appearance (reactant, product)."""

@@ -44,6 +44,7 @@ class Mutant(NamedTuple):
 
 
 DECIDE, EMBEDDING = "src/crnmss/decide.py", "src/crnmss/embedding.py"
+NETWORK = "src/crnmss/network.py"
 WITNESS = "src/crnmss/witness.py"
 
 MUTANTS = [
@@ -54,6 +55,27 @@ MUTANTS = [
         "        if total <= 0:",
         "        if total < 0:",
         "tests/test_decide.py::test_determinant_optimization_sequestration",
+    ),
+    Mutant(
+        "det-opt checker totals from numerators without the lcm scaling",
+        DECIDE,
+        "    weights = [e.numerator * (scale // e.denominator) for e in vals]",
+        "    weights = [e.numerator for e in vals]",
+        "tests/test_decide.py::test_det_opt_condition_with_fractional_eta_matches_a_fraction_reference",
+    ),
+    Mutant(
+        "det-opt rank test dropped",
+        DECIDE,
+        "    if g0.num_reactions > s and (data.rank < s or rank_int(data.reactant_matrix) < s):",
+        "    if False:",
+        "tests/test_cli.py::test_det_opt_rank_test_skips_the_scan",
+    ),
+    Mutant(
+        "the non-flow subnetwork rebuilt on every read",
+        NETWORK,
+        "    @functools.cached_property\n    def non_flow(",
+        "    @property\n    def non_flow(",
+        "tests/test_decide.py::test_check_builds_the_non_flow_subnetwork_once",
     ),
     Mutant(
         "row rule takes only strictly signed rows",

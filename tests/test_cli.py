@@ -430,13 +430,31 @@ def test_injectivity_work_bound_exits_4(tmp_path, capsys, monkeypatch, text):
     assert "work bound 2" in captured.err
 
 
-def test_det_opt_work_bound_names_its_stage(tmp_path, capsys, monkeypatch):
-    # atom 1 on X1, X2 plus Xi + Xj -> X6 for the pairs of X1..X5, fully
-    # open: injectivity stops at its first SEN after 7 units of work, while
-    # det-opt forms 1 + C(12, 6) = 925 units and finds no certificate
+def _atom_one_and_pairs_into_x6(*extra: str) -> str:
+    # atom 1 on X1, X2 plus Xi + Xj -> X6 for the pairs of X1..X5, fully open
     pairs = [f"X{i} + X{j} -> X6" for i in range(1, 6) for j in range(i + 1, 6)]
-    net = fully_open_extension(parse_network("\n".join(["X1 -> 2 X1", "X1 + X2 -> 0"] + pairs)))
-    path = write_net(tmp_path, render_network(net))
+    lines = ["X1 -> 2 X1", "X1 + X2 -> 0", *pairs, *extra]
+    return render_network(fully_open_extension(parse_network("\n".join(lines))))
+
+
+def test_det_opt_rank_test_skips_the_scan(tmp_path, capsys, monkeypatch):
+    # X6 is never a reactant, so the reactant matrix of the non-flow
+    # subnetwork has rank 5 < 6 and every full-size SEN has orientation 0:
+    # det-opt returns before its C(12, 6) = 924 combinations, so a work
+    # bound of 100 does not refuse
+    path = write_net(tmp_path, _atom_one_and_pairs_into_x6())
+    monkeypatch.setattr("crnmss.embedding.WORK_LIMIT", 100)
+    assert main(["check", path, "--no-numeric"]) == 0
+    out = capsys.readouterr().out
+    assert "determinant optimization found no certificate" in out
+    assert "certificate: atom-embedding" in out
+
+
+def test_det_opt_work_bound_names_its_stage(tmp_path, capsys, monkeypatch):
+    # with X6 -> X3 both matrices have full rank: injectivity stops at its
+    # first SEN after 7 units of work, while det-opt forms 1 + C(13, 6) =
+    # 1,717 units and finds no certificate
+    path = write_net(tmp_path, _atom_one_and_pairs_into_x6("X6 -> X3"))
     assert main(["check", path, "--no-numeric"]) == 0
     assert "certificate: atom-embedding" in capsys.readouterr().out
     monkeypatch.setattr("crnmss.embedding.WORK_LIMIT", 100)

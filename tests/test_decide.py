@@ -1,5 +1,6 @@
 """Tests for the decision layer: theorems, injectivity routes, pipeline."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -340,6 +341,34 @@ def test_det_opt_condition_rejects_a_wrong_length_and_an_orientation_not_negativ
     assert not det_opt_condition(zero, (1, 1))
 
 
+def test_det_opt_condition_with_fractional_eta_matches_a_fraction_reference():
+    # K~(2,3)'s certificate SEN has reactant-minus-product rows (1, 0, -2),
+    # (1, 1, 0) and (0, 1, 1), so only the third species total,
+    # eta_3 - 2 eta_1, can fail; the checker scales eta to integers
+    cert = determinant_optimization(k_tilde(2, 3))
+    rows = [
+        [rxn.reactant.coeff(i) - rxn.product.coeff(i) for i in cert.sen.species_indices]
+        for rxn in cert.sen.reactions
+    ]
+    assert rows == [[1, 0, -2], [1, 1, 0], [0, 1, 1]]
+
+    def reference(eta):
+        totals = [sum(e * row[i] for e, row in zip(eta, rows)) for i in range(3)]
+        return all(total > 0 for total in totals)
+
+    # eta_3 - 2 eta_1 = 1/3 > 0, but numerators alone give 1 - 2 * 1 < 0
+    assert det_opt_condition(cert.sen, (Fraction(1, 3), Fraction(1, 2), Fraction(1)))
+    # eta_3 - 2 eta_1 = 0 exactly, on three different denominators
+    assert not det_opt_condition(cert.sen, (Fraction(3, 4), Fraction(2, 5), Fraction(3, 2)))
+    values = [Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), 1, Fraction(5, 3), 2, Fraction(7, 2)]
+    outcomes = set()
+    for eta in itertools.product(values, repeat=3):
+        expected = reference([Fraction(e) for e in eta])
+        assert det_opt_condition(cert.sen, eta) == expected, eta
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
 # Fully open networks of the seed-0 atlas benchmark corpus (open6-26,
 # rand4-014-open, open6-34) whose eta is not the all-ones-and-(m + 1) of
 # K(m, n): each eta is the point where the simplex's pivot path stops.
@@ -583,6 +612,25 @@ def test_check_computes_deficiency_once(tmp_path, monkeypatch, capsys):
     assert main(["check", str(path), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["verdict"]["certificate"]["kind"] == "det-opt"
     assert len(calls) == 1
+
+
+def test_check_builds_the_non_flow_subnetwork_once(tmp_path, monkeypatch, capsys):
+    # injectivity and det-opt both read g0, which is cached on the network
+    builds = []
+    subnetwork = ReactionNetwork.subnetwork
+
+    def counting(self, reactions):
+        builds.append(self)
+        return subnetwork(self, reactions)
+
+    monkeypatch.setattr(ReactionNetwork, "subnetwork", counting)
+    path = tmp_path / "net.txt"
+    path.write_text(render_network(k_tilde(2, 3)) + "\n")
+    assert main(["check", str(path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"]["certificate"]["kind"] == "det-opt"
+    assert any(note.startswith("injectivity fails") for note in report["verdict"]["notes"])
+    assert len(builds) == 1
 
 
 def test_verdict_to_json():

@@ -1,5 +1,6 @@
 """Tests for the network model and the text format."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -72,6 +73,39 @@ def test_reaction_basics():
     assert not Reaction(zero, Complex.of({0: 2})).is_flow
     with pytest.raises(ValueError):
         Reaction(a, a)
+
+
+complexes = st.dictionaries(
+    st.integers(min_value=0, max_value=3), st.integers(min_value=1, max_value=2), max_size=3
+).map(Complex.of)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(complexes, complexes, complexes, complexes)
+def test_complex_and_reaction_equality_and_hash_follow_their_items(a, b, c, d):
+    # equal objects hash equal; a copy is equal but not the same object
+    for cpx in (a, b):
+        copy = Complex(cpx.items)
+        assert copy is not cpx and copy == cpx and hash(copy) == hash(cpx)
+        # never equal to its items tuple, in either order
+        assert cpx != cpx.items and cpx.items != cpx
+    assert (a == b) == (a.items == b.items)
+    if a == b:
+        assert hash(a) == hash(b)
+    if a == b or c == d:
+        return
+    ab, cd = Reaction(a, b), Reaction(c, d)
+    assert Reaction(Complex(a.items), Complex(b.items)) == ab
+    assert ab != Reaction(b, a) and Reaction(b, a) != ab
+    assert (ab == cd) == (a == c and b == d)
+    if ab == cd:
+        assert hash(ab) == hash(cd)
+    assert a != ab and ab != a and ab != (a, b) and ab != (a.items, b.items)
+    assert len({ab, Reaction(Complex(a.items), Complex(b.items)), Reaction(b, a)}) == 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.items = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ab.reactant = b
 
 
 def test_make_network_and_accessors():
