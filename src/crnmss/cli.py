@@ -14,17 +14,11 @@ import json
 import sys
 from fractions import Fraction
 
-from .decide import (
-    INCONCLUSIVE,
-    LimitExceeded,
-    NetworkFacts,
-    analyze,
-    atom_db_matches,
-    network_facts,
-)
-from .embedding import fully_open_extension
+from .decide import INCONCLUSIVE, LimitExceeded, analyze, atom_db_matches
+from .embedding import fully_open_extension, is_cfstr, is_fully_open
 from .families import FamilySpec, generate
 from .network import ParseError, ReactionNetwork, parse_network, render_network
+from .structure import DeficiencyReport, deficiency
 from .witness import rate_search, witness_search
 
 EXIT_OK = 0
@@ -44,8 +38,7 @@ def _read_network(path: str) -> ReactionNetwork:
     return net
 
 
-def structural_summary(net: ReactionNetwork, facts: NetworkFacts) -> dict:
-    report = facts.deficiency
+def structural_summary(net: ReactionNetwork, report: DeficiencyReport) -> dict:
     return {
         "species": list(net.species_names()),
         "num_species": net.num_species,
@@ -57,8 +50,8 @@ def structural_summary(net: ReactionNetwork, facts: NetworkFacts) -> dict:
         "deficiency_per_class": list(report.per_class) if report.per_class is not None else None,
         "deficiency_applicable": report.applicable,
         "weakly_reversible": report.weakly_reversible,
-        "is_cfstr": facts.cfstr,
-        "is_fully_open": facts.fully_open,
+        "is_cfstr": is_cfstr(net),
+        "is_fully_open": is_fully_open(net),
     }
 
 
@@ -82,7 +75,7 @@ def _print_structure(summary: dict) -> None:
 
 def cmd_info(args) -> int:
     net = _read_network(args.path)
-    summary = structural_summary(net, network_facts(net))
+    summary = structural_summary(net, deficiency(net))
     if args.json:
         print(json.dumps({"network": render_network(net), "structure": summary}, indent=2))
         return EXIT_OK
@@ -103,7 +96,7 @@ def cmd_check(args) -> int:
     verdict = result.verdict
     report = {
         "network": render_network(net),
-        "structure": structural_summary(net, result.facts),
+        "structure": structural_summary(net, result.deficiency),
         "verdict": verdict.to_json(),
         "witness": result.witness.to_json() if result.witness is not None else None,
     }

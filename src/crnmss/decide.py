@@ -60,25 +60,11 @@ def _sen_reactions(sen: SquareEmbeddedNetwork) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# network facts and the deficiency theorems
+# the deficiency theorems
 
 
-@dataclass(frozen=True)
-class NetworkFacts:
-    """The structural facts every stage reads, computed once per analysis."""
-
-    deficiency: DeficiencyReport
-    cfstr: bool
-    fully_open: bool
-
-
-def network_facts(net: ReactionNetwork) -> NetworkFacts:
-    return NetworkFacts(deficiency(net), is_cfstr(net), is_fully_open(net))
-
-
-def check_deficiency_zero(facts: NetworkFacts) -> Verdict | str:
+def check_deficiency_zero(report: DeficiencyReport) -> Verdict | str:
     """The deficiency zero theorem's verdict, or a note saying why it is silent."""
-    report = facts.deficiency
     if not report.applicable:
         return (
             "deficiency formula not applicable: some linkage class contains more "
@@ -110,10 +96,9 @@ def check_deficiency_zero(facts: NetworkFacts) -> Verdict | str:
     )
 
 
-def check_deficiency_one(facts: NetworkFacts) -> Verdict | str | None:
+def check_deficiency_one(report: DeficiencyReport) -> Verdict | str | None:
     """The deficiency one theorem's verdict, or a note saying why it is
     silent; None when the deficiency formula does not apply."""
-    report = facts.deficiency
     if not report.applicable:
         return None
     assert report.per_class is not None and report.total is not None
@@ -269,7 +254,7 @@ def classify_one_nonflow_fully_open(
 def _single_nonflow_shape(net: ReactionNetwork):
     """(a, b, reversible) when the non-flow part is one reaction or one
     reversible pair, else None."""
-    nonflow = [j for j, rxn in enumerate(net.reactions) if not rxn.is_flow]
+    nonflow = net.flows.non_flow
     rxns = [net.reactions[j] for j in nonflow]
     if not (len(rxns) == 1 or len(rxns) == 2 and rxns[0] == rxns[1].reversed_()):
         return None
@@ -434,27 +419,29 @@ def atom_db_search(net: ReactionNetwork) -> AtomMatch | None:
 # ---------------------------------------------------------------------------
 # the pipeline
 #
-# A stage maps (net, facts) to a Verdict when it concludes, to a note when
-# it does not, or to None when it has nothing to say; the numeric stage also
-# takes a budget and a seed, and concludes with an AnalysisResult.  Stages
-# call the layer functions through this module's globals.
+# A stage maps (net, report), report being the network's DeficiencyReport,
+# to a Verdict when it concludes, to a note when it does not, or to None
+# when it has nothing to say; the numeric stage also takes a budget and a
+# seed, and concludes with an AnalysisResult.  Stages read the CFSTR and
+# fully open flags off the network and call the layer functions through
+# this module's globals.
 
 
 @dataclass
 class AnalysisResult:
     verdict: Verdict
     witness: object | None = None  # SteadyStateWitness when numeric search concluded
-    facts: NetworkFacts | None = None
+    deficiency: DeficiencyReport | None = None
 
 
-def _positive_dependence_stage(net, facts):
+def _positive_dependence_stage(net, report):
     # Structure decides most networks without the LP.  Fully open: alpha = 1
     # on every other reaction leaves a net change d, and outflow_i =
     # 1 + max(0, d_i), inflow_i = outflow_i - d_i cancel it.  Weakly
     # reversible: the cycles through every reaction sum to a dependence.
     # A nonzero one-signed row i of Gamma gives (Gamma alpha)_i != 0 for
     # every alpha > 0; a zero row (a species that is only a catalyst) does not.
-    if facts.fully_open or facts.deficiency.weakly_reversible:
+    if is_fully_open(net) or report.weakly_reversible:
         holds = True
     elif any(any(row) and (min(row) >= 0 or max(row) <= 0) for row in stoich(net).stoich_matrix):
         holds = False
@@ -472,10 +459,10 @@ def _positive_dependence_stage(net, facts):
     )
 
 
-def _injectivity_stage(net, facts):
-    if facts.cfstr:
-        report = cfstr_injectivity(net)
-        if report.injective:
+def _injectivity_stage(net, report):
+    if is_cfstr(net):
+        injectivity = cfstr_injectivity(net)
+        if injectivity.injective:
             return Verdict(
                 NOT_MULTISTATIONARY,
                 {"kind": "injectivity-cfstr"},
@@ -484,19 +471,19 @@ def _injectivity_stage(net, facts):
                     "subnetwork has non-negative orientation",
                 ),
             )
-        assert report.negative_sen is not None
+        assert injectivity.negative_sen is not None
         return (
             "injectivity fails: negatively oriented relevant square embedded "
-            f"network {_sen_reactions(report.negative_sen)}"
+            f"network {_sen_reactions(injectivity.negative_sen)}"
         )
-    report = injectivity_minors(net)
-    if report.injective:
+    injectivity = injectivity_minors(net)
+    if injectivity.injective:
         return Verdict(
             NOT_MULTISTATIONARY,
-            {"kind": "injectivity-minors", "sign": report.sign},
+            {"kind": "injectivity-minors", "sign": injectivity.sign},
             notes=("all rank-size minor products share one sign",),
         )
-    if report.status == "degenerate":
+    if injectivity.status == "degenerate":
         return (
             "injectivity degenerate: every rank-size minor product vanishes; "
             "treated as not injective"
@@ -504,9 +491,9 @@ def _injectivity_stage(net, facts):
     return "injectivity fails: minor products of both signs exist"
 
 
-def _one_reaction_stage(net, facts):
-    shape = _single_nonflow_shape(net)
-    if shape is None or not facts.fully_open:
+def _one_reaction_stage(net, report):
+    shape = _single_nonflow_shape(net) if is_fully_open(net) else None
+    if shape is None:
         return None
     a, b, reversible = shape
     cls = classify_one_nonflow_fully_open(a, b, reversible)
@@ -521,13 +508,13 @@ def _one_reaction_stage(net, facts):
     return Verdict(MULTISTATIONARY if cls.multistationary else NOT_MULTISTATIONARY, cert)
 
 
-def _det_opt_stage(net, facts):
-    if not facts.cfstr:
+def _det_opt_stage(net, report):
+    if not is_cfstr(net):
         return None
     cert = determinant_optimization(net)
     if cert is None:
         return "determinant optimization found no certificate"
-    if facts.fully_open:
+    if is_fully_open(net):
         return Verdict(MULTISTATIONARY, cert.to_json())
     return (
         "determinant optimization certifies the fully open extension "
@@ -535,8 +522,8 @@ def _det_opt_stage(net, facts):
     )
 
 
-def _atom_search_stage(net, facts):
-    if not facts.fully_open:
+def _atom_search_stage(net, report):
+    if not is_fully_open(net):
         return "atom search skipped: network is not fully open"
     match = atom_db_search(net)
     if match is None:
@@ -544,8 +531,8 @@ def _atom_search_stage(net, facts):
     return Verdict(MULTISTATIONARY, {**match.to_json(), "kind": "atom-embedding"})
 
 
-def _numeric_stage(net, facts, budget, seed):
-    if not facts.fully_open:
+def _numeric_stage(net, report, budget, seed):
+    if not is_fully_open(net):
         return "numeric search skipped: network is not fully open"
     from . import witness
 
@@ -561,10 +548,10 @@ def _numeric_stage(net, facts, budget, seed):
 
 
 # the exact stages, cheapest first
-STAGES: dict[str, Callable[[ReactionNetwork, NetworkFacts], Verdict | str | None]] = {
+STAGES: dict[str, Callable[[ReactionNetwork, DeficiencyReport], Verdict | str | None]] = {
     "positive-dependence": _positive_dependence_stage,
-    "deficiency-zero": lambda net, facts: check_deficiency_zero(facts),
-    "deficiency-one": lambda net, facts: check_deficiency_one(facts),
+    "deficiency-zero": lambda net, report: check_deficiency_zero(report),
+    "deficiency-one": lambda net, report: check_deficiency_one(report),
     "injectivity": _injectivity_stage,
     "one-reaction": _one_reaction_stage,
     "det-opt": _det_opt_stage,
@@ -580,14 +567,14 @@ def analyze(
 
     A stage past a work bound raises ``LimitExceeded`` with its name first.
     """
-    facts = network_facts(net)
+    report = deficiency(net)
     stages = list(STAGES.items())
     if numeric:
-        stages.append(("numeric", lambda net, facts: _numeric_stage(net, facts, budget, seed)))
+        stages.append(("numeric", lambda net, report: _numeric_stage(net, report, budget, seed)))
     notes: list[str] = []
     for name, stage in stages:
         try:
-            outcome = stage(net, facts)
+            outcome = stage(net, report)
         except LimitExceeded as exc:
             raise LimitExceeded(f"{name}: {exc}") from exc
         if isinstance(outcome, str):
@@ -596,5 +583,5 @@ def analyze(
             result = outcome if isinstance(outcome, AnalysisResult) else AnalysisResult(outcome)
             v = result.verdict
             verdict = Verdict(v.status, v.certificate, tuple(notes) + v.notes)
-            return AnalysisResult(verdict, result.witness, facts)
-    return AnalysisResult(Verdict(INCONCLUSIVE, None, tuple(notes)), facts=facts)
+            return AnalysisResult(verdict, result.witness, report)
+    return AnalysisResult(Verdict(INCONCLUSIVE, None, tuple(notes)), deficiency=report)

@@ -69,33 +69,27 @@ def non_flow_subnetwork(net: ReactionNetwork) -> ReactionNetwork:
 
 
 def fully_open_extension(net: ReactionNetwork) -> ReactionNetwork:
-    """Add the missing inflow 0 -> X and outflow X -> 0 for every species."""
-    existing = set(net.reactions)
+    """Add the missing inflow 0 -> X and outflow X -> 0 for every species,
+    in species order, each inflow before its outflow."""
+    flows, zero = net.flows, Complex(())
     reactions = list(net.reactions)
     for i in range(net.num_species):
         mono = Complex.of({i: 1})
-        zero = Complex(())
-        for rxn in (Reaction(zero, mono), Reaction(mono, zero)):
-            if rxn not in existing:
-                existing.add(rxn)
-                reactions.append(rxn)
+        if i not in flows.inflows:
+            reactions.append(Reaction(zero, mono))
+        if i not in flows.outflows:
+            reactions.append(Reaction(mono, zero))
     return ReactionNetwork(net.species, tuple(reactions))
 
 
 def is_cfstr(net: ReactionNetwork) -> bool:
-    """True iff every species has its outflow X -> 0 (and there is a species).
-
-    Reactions are distinct, so counting outflows counts species with one."""
-    outflows = sum(1 for r in net.reactions if r.is_flow and r.product.is_zero)
-    return 0 < outflows == net.num_species
+    """True iff every species has its outflow X -> 0 (and there is a species)."""
+    return 0 < net.num_species == len(net.flows.outflows)
 
 
 def is_fully_open(net: ReactionNetwork) -> bool:
-    """True iff every species has both its inflow and its outflow.
-
-    No species has more than one of each, so 2n flows means all of them."""
-    flows = sum(1 for r in net.reactions if r.is_flow)
-    return 0 < net.num_species and flows == 2 * net.num_species
+    """True iff every species has both its inflow and its outflow."""
+    return 0 < net.num_species == len(net.flows.inflows) == len(net.flows.outflows)
 
 
 def _intermediate_complex(net: ReactionNetwork, species_idx: int) -> Complex:
@@ -298,7 +292,7 @@ def total_molecularity(net: ReactionNetwork, species_idx: int) -> int:
     """
     if not 0 <= species_idx < net.num_species:
         raise ValueError(f"species index {species_idx} out of range")
-    pairs = {frozenset(rxn.complexes()) for rxn in net.reactions if not rxn.is_flow}
+    pairs = {frozenset(net.reactions[j].complexes()) for j in net.flows.non_flow}
     return sum(c.coeff(species_idx) for pair in pairs for c in pair)
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from typing import Container, Iterable, Iterator, Mapping
+from typing import Container, Iterable, Iterator, Mapping, NamedTuple
 
 from .linalg import rank_int
 
@@ -165,6 +165,15 @@ class StoichData:
         return rank_int(self.stoich_matrix)
 
 
+class Flows(NamedTuple):
+    """A network's flow partition: the species with an inflow 0 -> X, the
+    species with an outflow X -> 0, and the indices of all other reactions."""
+
+    inflows: frozenset[int]
+    outflows: frozenset[int]
+    non_flow: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class ReactionNetwork:
     species: tuple[str, ...]  # names; species i is the name at position i
@@ -262,11 +271,25 @@ class ReactionNetwork:
         return make_network([self.species[i] for i in used], renamed)
 
     @functools.cached_property
+    def flows(self) -> Flows:
+        """The flow partition, from one pass over the reactions: the only
+        reader of ``Reaction.is_flow``.  Equality and hashing ignore it."""
+        inflows, outflows, non_flow = set(), set(), []
+        for j, rxn in enumerate(self.reactions):
+            if not rxn.is_flow:
+                non_flow.append(j)
+            elif rxn.reactant.is_zero:
+                inflows.add(rxn.product.items[0][0])
+            else:
+                outflows.add(rxn.reactant.items[0][0])
+        return Flows(frozenset(inflows), frozenset(outflows), tuple(non_flow))
+
+    @functools.cached_property
     def non_flow(self) -> "ReactionNetwork":
         """The non-flow subnetwork g0: the inflows and outflows removed,
         with any species they orphan.  Built by its first reader, once per
         network; equality and hashing ignore it."""
-        return self.subnetwork(r for r in self.reactions if not r.is_flow)
+        return self.subnetwork(self.reactions[j] for j in self.flows.non_flow)
 
     def complexes(self) -> tuple[Complex, ...]:
         """Distinct complexes in order of first appearance (reactant, product)."""

@@ -78,6 +78,13 @@ MUTANTS = [
         "tests/test_decide.py::test_check_builds_the_non_flow_subnetwork_once",
     ),
     Mutant(
+        "flows rebuilt on every read",
+        NETWORK,
+        "    @functools.cached_property\n    def flows(",
+        "    @property\n    def flows(",
+        "tests/test_decide.py::test_check_reads_each_flow_once",
+    ),
+    Mutant(
         "row rule takes only strictly signed rows",
         DECIDE,
         "(min(row) >= 0 or max(row) <= 0)",
@@ -94,8 +101,8 @@ MUTANTS = [
     Mutant(
         "positive dependence taken to hold for every CFSTR",
         DECIDE,
-        "    if facts.fully_open or facts.deficiency.weakly_reversible:",
-        "    if facts.cfstr or facts.deficiency.weakly_reversible:",
+        "    if is_fully_open(net) or report.weakly_reversible:",
+        "    if is_cfstr(net) or report.weakly_reversible:",
         "tests/test_cli.py::test_schema_lists_exactly_the_certificate_kinds_the_stages_emit",
     ),
     Mutant(
@@ -147,7 +154,14 @@ MUTANTS = [
         "if sen_is_relevant(sen)[0] and orientation(sen) < -1:",
         "tests/test_stage_soundness.py::test_no_two_stages_conflict_on_random_networks",
     ),
-    # square embedded networks and their relevance
+    # flows, square embedded networks and their relevance
+    Mutant(
+        "is_fully_open ignores inflows",
+        EMBEDDING,
+        "0 < net.num_species == len(net.flows.inflows) == len(net.flows.outflows)",
+        "0 < net.num_species == len(net.flows.outflows)",
+        "tests/test_embedding.py::test_flow_facts_match_their_definitions",
+    ),
     Mutant(
         "relevance asks a total molecularity of two",
         EMBEDDING,

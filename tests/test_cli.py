@@ -11,10 +11,11 @@ import jsonschema
 import pytest
 
 from crnmss.cli import main
-from crnmss.decide import LimitExceeded, _numeric_stage, analyze, network_facts
+from crnmss.decide import LimitExceeded, _numeric_stage, analyze
 from crnmss.embedding import fully_open_extension
 from crnmss.families import FamilySpec, generate, load_atom
 from crnmss.network import parse_network, render_network
+from crnmss.structure import deficiency
 
 
 def write_net(tmp_path, text):
@@ -144,7 +145,7 @@ def test_schema_lists_exactly_the_certificate_kinds_the_stages_emit():
     ]
     verdicts = [analyze(net).verdict.to_json() for net in nets]
     atom = load_atom(1)
-    verdicts.append(_numeric_stage(atom, network_facts(atom), 200, 0).verdict.to_json())
+    verdicts.append(_numeric_stage(atom, deficiency(atom), 200, 0).verdict.to_json())
     verdict_schema = report_schema()["properties"]["verdict"]
     kinds = set()
     for verdict in verdicts:

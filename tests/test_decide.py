@@ -29,7 +29,6 @@ from crnmss.decide import (
     det_opt_condition,
     determinant_optimization,
     injectivity_minors,
-    network_facts,
     positive_dependence,
 )
 from crnmss.cli import main
@@ -54,13 +53,13 @@ def k_tilde(m, n):
     return fully_open_extension(generate(FamilySpec("K", m, n)))
 
 
-def facts_of(text_or_net):
+def report_of(text_or_net):
     net = parse_network(text_or_net) if isinstance(text_or_net, str) else text_or_net
-    return network_facts(net)
+    return deficiency(net)
 
 
 def test_deficiency_zero_weakly_reversible():
-    v = check_deficiency_zero(facts_of("A <-> B"))
+    v = check_deficiency_zero(report_of("A <-> B"))
     assert v is not None
     assert v.status == NOT_MULTISTATIONARY
     assert v.certificate["kind"] == "deficiency-zero"
@@ -68,18 +67,18 @@ def test_deficiency_zero_weakly_reversible():
 
 
 def test_deficiency_zero_not_weakly_reversible():
-    v = check_deficiency_zero(facts_of("A -> B"))
+    v = check_deficiency_zero(report_of("A -> B"))
     assert v is not None
     assert v.status == NO_POSITIVE_STEADY_STATES
 
 
 def test_deficiency_zero_inapplicable_or_positive():
-    assert not isinstance(check_deficiency_zero(facts_of("A -> B\nA -> C")), Verdict)
-    assert not isinstance(check_deficiency_zero(facts_of(generate(FamilySpec("G", 2, 3)))), Verdict)
+    assert not isinstance(check_deficiency_zero(report_of("A -> B\nA -> C")), Verdict)
+    assert not isinstance(check_deficiency_zero(report_of(generate(FamilySpec("G", 2, 3)))), Verdict)
 
 
 def test_deficiency_one():
-    v = check_deficiency_one(facts_of("2 A -> 3 A\n3 A -> 4 A\n0 <-> B"))
+    v = check_deficiency_one(report_of("2 A -> 3 A\n3 A -> 4 A\n0 <-> B"))
     assert v is not None
     assert v.status == NOT_MULTISTATIONARY
     assert v.certificate == {
@@ -88,13 +87,13 @@ def test_deficiency_one():
         "per_class": [1, 0],
     }
     # covers deficiency zero as the degenerate case
-    assert isinstance(check_deficiency_one(facts_of("A <-> B")), Verdict)
+    assert isinstance(check_deficiency_one(report_of("A <-> B")), Verdict)
     # class deficiencies (0, 0) do not reach the total of 1
-    assert not isinstance(check_deficiency_one(facts_of(generate(FamilySpec("G", 2, 3)))), Verdict)
+    assert not isinstance(check_deficiency_one(report_of(generate(FamilySpec("G", 2, 3)))), Verdict)
     # single class of deficiency 2
-    assert not isinstance(check_deficiency_one(facts_of("0 -> A\nA -> 2 A\n2 A -> 3 A")), Verdict)
+    assert not isinstance(check_deficiency_one(report_of("0 -> A\nA -> 2 A\n2 A -> 3 A")), Verdict)
     # inapplicable network
-    assert not isinstance(check_deficiency_one(facts_of("A -> B\nA -> C")), Verdict)
+    assert not isinstance(check_deficiency_one(report_of("A -> B\nA -> C")), Verdict)
 
 
 def test_injectivity_minors_injective():
@@ -173,7 +172,7 @@ HOLDS = "positive dependence holds"
 
 
 def dependence_stage(net):
-    return _positive_dependence_stage(net, network_facts(net))
+    return _positive_dependence_stage(net, deficiency(net))
 
 
 def reversible_closure(net):
@@ -237,7 +236,7 @@ def test_deficiency_zero_networks_are_positively_dependent_iff_weakly_reversible
     # NO_POSITIVE_STEADY_STATES branch of check_deficiency_zero.
     net = random_network(random.Random(seed))
     for source in (net, fully_open_extension(net), reversible_closure(net)):
-        report = network_facts(source).deficiency
+        report = deficiency(source)
         if report.applicable and report.total == 0:
             assert (positive_dependence(source) is not None) == report.weakly_reversible
 
@@ -253,8 +252,8 @@ def test_positive_dependence_stage_reads_only_nonzero_rows():
         assert positive_dependence(parse_network(text)) is None
         outcome = dependence_stage(parse_network(text))
         assert outcome.certificate == {"kind": "positive-dependence-failure"}
-    facts = facts_of("A -> 0")
-    assert facts.cfstr and not facts.fully_open
+    cfstr = parse_network("A -> 0")
+    assert is_cfstr(cfstr) and not is_fully_open(cfstr)
 
 
 def test_structure_decides_positive_dependence_without_the_lp(monkeypatch, tmp_path, capsys):
@@ -265,8 +264,7 @@ def test_structure_decides_positive_dependence_without_the_lp(monkeypatch, tmp_p
 
     monkeypatch.setattr(crnmss.decide, "positive_dependence", refuse)
     cycle = parse_network("A + B <-> C\nC -> D\nD -> A + B")
-    facts = network_facts(cycle)
-    assert facts.deficiency.weakly_reversible and not facts.fully_open
+    assert deficiency(cycle).weakly_reversible and not is_fully_open(cycle)
     for net in [k_tilde(2, 3), cycle] + [atom for _, atom in load_atoms()]:
         assert analyze(net).verdict.status != INCONCLUSIVE
     # one nonpositive row, and no nonnegative one
@@ -571,7 +569,7 @@ def test_analyze_det_opt_certifies_only_the_fully_open_extension():
 
 def test_analyze_inconclusive_and_stage_control():
     net = k_tilde(2, 3)
-    note = STAGES["injectivity"](net, network_facts(net))
+    note = STAGES["injectivity"](net, deficiency(net))
     assert note.startswith("injectivity fails")
     # the note of a silent stage reaches the verdict of a later stage
     assert note in analyze(net).verdict.notes
@@ -579,21 +577,11 @@ def test_analyze_inconclusive_and_stage_control():
 
 def test_analyze_numeric_stage():
     net = load_atom(1)
-    res = _numeric_stage(net, network_facts(net), 10000, 0)
+    res = _numeric_stage(net, deficiency(net), 10000, 0)
     assert res.verdict.status == MULTISTATIONARY
     assert res.verdict.certificate["kind"] == "numeric-witness"
     assert res.verdict.certificate["nondegenerate_states"] >= 2
     assert res.witness is not None
-
-
-def test_network_facts_match_structure_functions():
-    rng = random.Random(93)
-    for _ in range(50):
-        net = random_network(rng)
-        facts = network_facts(net)
-        assert facts.deficiency == deficiency(net)
-        assert facts.cfstr == is_cfstr(net)
-        assert facts.fully_open == is_fully_open(net)
 
 
 def test_check_computes_deficiency_once(tmp_path, monkeypatch, capsys):
@@ -631,6 +619,28 @@ def test_check_builds_the_non_flow_subnetwork_once(tmp_path, monkeypatch, capsys
     assert report["verdict"]["certificate"]["kind"] == "det-opt"
     assert any(note.startswith("injectivity fails") for note in report["verdict"]["notes"])
     assert len(builds) == 1
+
+
+def test_check_reads_each_flow_once(tmp_path, monkeypatch, capsys):
+    # the flags, g0 and the one-reaction shape read the flow partition
+    # cached on the network, which reads each reaction's is_flow once
+    net = k_tilde(2, 3)
+    reads = []
+    is_flow = Reaction.is_flow
+
+    def counting(self):
+        reads.append(self)
+        return is_flow.fget(self)
+
+    monkeypatch.setattr(Reaction, "is_flow", property(counting))
+    path = tmp_path / "net.txt"
+    path.write_text(render_network(net) + "\n")
+    assert main(["check", str(path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    # injectivity and det-opt both ran
+    assert report["verdict"]["certificate"]["kind"] == "det-opt"
+    assert any(note.startswith("injectivity fails") for note in report["verdict"]["notes"])
+    assert 0 < len(reads) <= net.num_reactions
 
 
 def test_verdict_to_json():

@@ -75,10 +75,6 @@ def test_non_flow_subnetwork_and_open_maps():
     assert fully_open_extension(open_net).reactions == open_net.reactions
 
 
-def reference_non_flow_subnetwork(net):
-    """The non-flow subnetwork as an embedded network: flows removed."""
-    flows = {i for i, r in enumerate(net.reactions) if r.is_flow}
-    return embedded_network(net, reactions=flows)
 
 
 def reference_every_species_has(net, flow):
@@ -96,6 +92,31 @@ def reference_is_fully_open(net):
     return reference_is_cfstr(net) and reference_every_species_has(
         net, lambda mono: Reaction(Complex(()), mono)
     )
+
+
+def reference_flows(net):
+    """Every inflow 0 -> X and outflow X -> 0 over the species of ``net``,
+    by species, each inflow before its outflow."""
+    zero = Complex(())
+    monos = [Complex.of({i: 1}) for i in range(net.num_species)]
+    return [r for mono in monos for r in (Reaction(zero, mono), Reaction(mono, zero))]
+
+
+def reference_non_flow_subnetwork(net):
+    """The non-flow subnetwork as an embedded network: flows removed."""
+    flows = set(reference_flows(net))
+    return embedded_network(net, reactions=[i for i, r in enumerate(net.reactions) if r in flows])
+
+
+def reference_fully_open_extension(net):
+    have = set(net.reactions)
+    return net.reactions + tuple(r for r in reference_flows(net) if r not in have)
+
+
+def reference_total_molecularity(net, species_idx):
+    flows = set(reference_flows(net))
+    pairs = {frozenset(r.complexes()) for r in net.reactions if r not in flows}
+    return sum(c.coeff(species_idx) for pair in pairs for c in pair)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -118,6 +139,11 @@ def test_flow_facts_match_their_definitions(seed):
     assert is_cfstr(net) == reference_is_cfstr(net)
     assert is_fully_open(net) == reference_is_fully_open(net)
     assert non_flow_subnetwork(net) == reference_non_flow_subnetwork(net)
+    extension = fully_open_extension(net)
+    assert extension.species == net.species
+    assert extension.reactions == reference_fully_open_extension(net)
+    for i in range(net.num_species):
+        assert total_molecularity(net, i) == reference_total_molecularity(net, i)
 
 
 def test_fully_open_extension_keeps_species_indexing():

@@ -19,7 +19,6 @@ from crnmss.decide import (
     STAGES,
     Verdict,
     det_opt_condition,
-    network_facts,
     orientation,
 )
 from crnmss.embedding import (
@@ -32,6 +31,7 @@ from crnmss.embedding import (
 )
 from crnmss.families import FamilySpec, generate
 from crnmss.network import parse_network, render_network, render_reaction
+from crnmss.structure import deficiency
 from helpers import random_network
 
 AT_MOST_ONE_STATE = (NOT_MULTISTATIONARY, NO_POSITIVE_STEADY_STATES)
@@ -63,10 +63,10 @@ def check_certificate(net, cert: dict) -> None:
 def stage_verdicts(net) -> dict[str, Verdict]:
     """Every stage's verdict on ``net``, by stage name; silent stages are
     left out."""
-    facts = network_facts(net)
+    report = deficiency(net)
     verdicts = {}
     for name, stage in STAGES.items():
-        outcome = stage(net, facts)
+        outcome = stage(net, report)
         if isinstance(outcome, Verdict):
             verdicts[name] = outcome
     return verdicts

@@ -148,14 +148,14 @@ def test_deficiency_classic_values():
 
 
 def test_deficiency_not_applicable():
-    from crnmss.decide import check_deficiency_zero, network_facts
+    from crnmss.decide import check_deficiency_zero
 
     net = parse_network("A -> B\nA -> C")
     rep = deficiency(net)
     assert not rep.applicable
     assert rep.total is None
     assert rep.per_class is None
-    assert check_deficiency_zero(network_facts(net)) == (
+    assert check_deficiency_zero(rep) == (
         "deficiency formula not applicable: some linkage class contains more "
         "than one terminal strong linkage class"
     )
@@ -213,9 +213,8 @@ def test_deficiency_per_class_matches_rebuilt_reaction_vectors():
     assert sum(shared) > 100
 
 
-def test_network_facts_finds_strong_components_twice(monkeypatch):
+def test_deficiency_finds_strong_components_twice(monkeypatch):
     import crnmss.structure
-    from crnmss.decide import network_facts
 
     calls = []
     find = crnmss.structure.strong_components
@@ -226,12 +225,11 @@ def test_network_facts_finds_strong_components_twice(monkeypatch):
 
     # once on the complex graph, once with every edge also reversed
     monkeypatch.setattr(crnmss.structure, "strong_components", counting)
-    network_facts(parse_network("A -> B\nB -> A\nB -> C\n2 C <-> D"))
+    deficiency(parse_network("A -> B\nB -> A\nB -> C\n2 C <-> D"))
     assert len(calls) == 2
 
 
-def test_network_facts_lists_the_complexes_once(monkeypatch):
-    from crnmss.decide import network_facts
+def test_deficiency_lists_the_complexes_once(monkeypatch):
     from crnmss.network import ReactionNetwork
 
     calls = []
@@ -243,19 +241,18 @@ def test_network_facts_lists_the_complexes_once(monkeypatch):
 
     monkeypatch.setattr(ReactionNetwork, "complexes", counting)
     net = parse_network("A -> B\nB -> A\nB -> C\n2 C <-> D")
-    facts = network_facts(net)
+    report = deficiency(net)
     assert len(calls) == 1
-    assert facts.deficiency.num_complexes == 5
+    assert report.num_complexes == 5
     # the cached index is not part of the network's value
     assert net == parse_network("A -> B\nB -> A\nB -> C\n2 C <-> D")
     assert hash(net) == hash(parse_network("A -> B\nB -> A\nB -> C\n2 C <-> D"))
 
 
 @pytest.mark.parametrize("length", [5, 50])
-def test_network_facts_ranks_a_single_linkage_class_once(monkeypatch, length):
+def test_deficiency_ranks_a_single_linkage_class_once(monkeypatch, length):
     import crnmss.network
     import crnmss.structure
-    from crnmss.decide import network_facts
 
     calls = []
     rank = crnmss.structure.rank_int
@@ -268,10 +265,10 @@ def test_network_facts_ranks_a_single_linkage_class_once(monkeypatch, length):
     monkeypatch.setattr(crnmss.network, "rank_int", counting)
     monkeypatch.setattr(crnmss.structure, "rank_int", counting)
     cycle = "\n".join(f"X{i} -> X{(i + 1) % length}" for i in range(length))
-    facts = network_facts(parse_network(cycle))
+    report = deficiency(parse_network(cycle))
     assert len(calls) == 1
-    assert facts.deficiency.per_class == (0,)
-    assert facts.deficiency.rank == length - 1
+    assert report.per_class == (0,)
+    assert report.rank == length - 1
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
